@@ -614,15 +614,18 @@ fn handle_conn(
                     reply: tx,
                     enqueued: Instant::now(),
                 };
+                // Counted in before the send: the engine thread may take
+                // the job and decrement before `try_send` even returns.
+                // Relaxed: depth is advisory (Stats + Busy echo); the
+                // queue itself is the synchronizing structure.
+                let queued = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                 match jobs.try_send(job) {
                     Ok(()) => {
-                        // Relaxed: depth is advisory (Stats + Busy echo);
-                        // the queue itself is the synchronizing structure.
-                        let depth = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                        shared.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+                        shared.queue_depth_peak.fetch_max(queued, Ordering::Relaxed);
                         rx.recv().unwrap_or(Reply::Error { message: "daemon stopped".into() })
                     }
                     Err(TrySendError::Full(_)) => {
+                        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                         shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
                         session_event(
                             shared,
@@ -633,6 +636,7 @@ fn handle_conn(
                         Reply::Busy { queued: depth as u32, capacity: queue_capacity as u32 }
                     }
                     Err(TrySendError::Disconnected(_)) => {
+                        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                         Reply::Error { message: "daemon stopped".into() }
                     }
                 }

@@ -302,6 +302,12 @@ mod tests {
     /// Minimal scoped temp dir (std-only).
     mod tempdir {
         use std::path::PathBuf;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Distinguishes guards within one process: tests run on parallel
+        /// threads, and a shared directory would let one guard's `Drop`
+        /// delete another test's files.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
 
         pub struct TempDirGuard {
             pub path: PathBuf,
@@ -314,7 +320,8 @@ mod tests {
         }
 
         pub fn guard(name: &str) -> TempDirGuard {
-            let path = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir().join(format!("{name}_{}_{n}", std::process::id()));
             std::fs::create_dir_all(&path).expect("can create temp dir");
             TempDirGuard { path }
         }
