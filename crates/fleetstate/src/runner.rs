@@ -1,9 +1,13 @@
 //! The resumable batched fleet runner and its journaled wrapper.
 //!
-//! [`FleetRunner`] re-hosts the batched decision engine
-//! ([`skirental::batch::BatchStore`]) in a form whose *complete* state
-//! can be exported and restored: per-lane estimator state, RNG stream
-//! positions, and cost ledgers. Lane arithmetic is lane-local and RNG
+//! [`FleetRunner`] is the second caller of the block engine,
+//! [`skirental::batch::ShardEngine`] (the first is
+//! [`skirental::batch::run_fleet_batch`]). It keeps one engine per shard
+//! for its lifetime, so the fleet's *complete* state — per-lane
+//! estimator state, RNG stream positions, and cost ledgers — can be
+//! exported and restored. Its per-stop hook adds what serving needs:
+//! the lane-major [`BlockDecisions`], the realized-CR risk sketches, and
+//! `StopCost` trace events. Lane arithmetic is lane-local and RNG
 //! streams are keyed by global vehicle index, so results are
 //! bit-identical for any thread count and across any
 //! export/restore/replay boundary — a resumed run's decision trace is
@@ -15,10 +19,10 @@
 //! that cannot be replayed.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use skirental::batch::{
-    flush_shard_observability, BatchStore, CounterRng, ShardPlan, VertexKind, VertexTally,
-};
+use obsv::risk::CrSketch;
+use skirental::batch::{BatchConfig, CounterRng, ShardEngine, ShardPlan, VertexKind};
 use skirental::BreakEven;
 
 use crate::error::{io_err, PersistError};
@@ -27,28 +31,31 @@ use crate::recovery::{recover_fleet, RecoveryOutcome};
 use crate::snapshot::append_snapshot;
 use crate::state::{FleetConfig, FleetState, LaneSnapshot};
 
-/// One contiguous shard of the fleet: its own store, RNG streams,
-/// decision scratch, and cost ledgers.
-struct ShardState {
-    /// Global index of the shard's first lane.
-    base: usize,
-    store: BatchStore,
-    rngs: Vec<CounterRng>,
-    thresholds: Vec<f64>,
-    vertices: Vec<VertexKind>,
-    online: Vec<f64>,
-    offline: Vec<f64>,
-    /// Per-lane realized-CR sketches, cached from the global
-    /// [`obsv::risk`] hub so the hot loop pays two relaxed atomic adds
-    /// per stop and no lock. Refreshed when the hub's epoch moves (a
-    /// `reset` invalidates every cached handle).
-    risk_lanes: Vec<std::sync::Arc<obsv::risk::CrSketch>>,
-    risk_epoch: u64,
+/// One shard's per-lane realized-CR sketches, cached from the global
+/// [`obsv::risk`] hub so the hot loop pays two relaxed atomic adds per
+/// stop and no lock. Refreshed when the hub's epoch moves (a `reset`
+/// invalidates every cached handle).
+struct RiskHandles {
+    lanes: Vec<Arc<CrSketch>>,
+    epoch: u64,
 }
 
-impl ShardState {
-    fn lanes(&self) -> usize {
-        self.rngs.len()
+impl RiskHandles {
+    /// The shard's sketches if the risk hub is active, refreshing the
+    /// cache first when it is stale.
+    fn refresh(&mut self, engine: &ShardEngine, trace_base: u64) -> Option<&[Arc<CrSketch>]> {
+        if !obsv::risk::active() {
+            return None;
+        }
+        let hub = obsv::risk::global();
+        let epoch = hub.epoch();
+        if self.epoch != epoch || self.lanes.len() != engine.lanes() {
+            self.lanes = (0..engine.lanes())
+                .map(|lane| hub.sketch(trace_base + (engine.base() + lane) as u64))
+                .collect();
+            self.epoch = epoch;
+        }
+        Some(&self.lanes)
     }
 }
 
@@ -118,18 +125,11 @@ impl BlockDecisions {
 /// on can be exported and restored bit-identically.
 pub struct FleetRunner {
     config: FleetConfig,
-    break_even: BreakEven,
     /// Stops per vehicle processed so far.
     step: u64,
-    shards: Vec<ShardState>,
-}
-
-fn make_store(config: &FleetConfig, break_even: BreakEven, lanes: usize) -> BatchStore {
-    match config.window {
-        Some(w) => BatchStore::with_window(break_even, lanes, w),
-        None => BatchStore::new(break_even, lanes),
-    }
-    .min_history(config.min_history)
+    shards: Vec<ShardEngine>,
+    /// Risk-sketch handles, one per shard.
+    risk: Vec<RiskHandles>,
 }
 
 fn validate_config(config: &FleetConfig) -> Result<BreakEven, PersistError> {
@@ -156,24 +156,19 @@ impl FleetRunner {
     pub fn new(config: &FleetConfig, threads: usize) -> Result<Self, PersistError> {
         assert!(threads > 0, "need at least one thread");
         let break_even = validate_config(config)?;
-        let plan = ShardPlan::new(config.lanes, threads);
-        let shards = plan
+        let cfg = BatchConfig {
+            window: config.window,
+            min_history: config.min_history,
+            seed: config.seed,
+            trace_stream_base: config.trace_stream_base,
+        };
+        let shards: Vec<ShardEngine> = ShardPlan::new(config.lanes, threads)
             .ranges()
-            .map(|(base, n)| ShardState {
-                base,
-                store: make_store(config, break_even, n),
-                rngs: (0..n)
-                    .map(|i| CounterRng::for_stream(config.seed, (base + i) as u64))
-                    .collect(),
-                thresholds: vec![0.0; n],
-                vertices: vec![VertexKind::ColdStart; n],
-                online: vec![0.0; n],
-                offline: vec![0.0; n],
-                risk_lanes: Vec::new(),
-                risk_epoch: u64::MAX,
-            })
+            .map(|(base, n)| ShardEngine::new(break_even, &cfg, base, n))
             .collect();
-        Ok(Self { config: *config, break_even, step: 0, shards })
+        let risk =
+            shards.iter().map(|_| RiskHandles { lanes: Vec::new(), epoch: u64::MAX }).collect();
+        Ok(Self { config: *config, step: 0, shards, risk })
     }
 
     /// Restores a fleet from a snapshot, resuming at the snapshot's
@@ -200,11 +195,9 @@ impl FleetRunner {
         runner.step = state.step;
         for shard in &mut runner.shards {
             for i in 0..shard.lanes() {
-                let snap = &state.lanes[shard.base + i];
-                shard.store.restore_lane(i, &snap.lane)?;
-                shard.rngs[i] = CounterRng::from_state(snap.rng_key, snap.rng_ctr);
-                shard.online[i] = snap.online;
-                shard.offline[i] = snap.offline;
+                let snap = &state.lanes[shard.base() + i];
+                let rng = CounterRng::from_state(snap.rng_key, snap.rng_ctr);
+                shard.restore_lane(i, &snap.lane, rng, (snap.online, snap.offline))?;
             }
         }
         Ok(runner)
@@ -216,14 +209,10 @@ impl FleetRunner {
         let mut lanes = Vec::with_capacity(self.config.lanes);
         for shard in &self.shards {
             for i in 0..shard.lanes() {
-                let (rng_key, rng_ctr) = shard.rngs[i].state();
-                lanes.push(LaneSnapshot {
-                    lane: shard.store.export_lane(i),
-                    rng_key,
-                    rng_ctr,
-                    online: shard.online[i],
-                    offline: shard.offline[i],
-                });
+                let (lane, rng) = shard.export_lane(i);
+                let (rng_key, rng_ctr) = rng.state();
+                let (online, offline) = shard.ledger(i);
+                lanes.push(LaneSnapshot { lane, rng_key, rng_ctr, online, offline });
             }
         }
         FleetState { config: self.config, step: self.step, lanes }
@@ -247,8 +236,8 @@ impl FleetRunner {
         let mut on = 0.0;
         let mut off = 0.0;
         for shard in &self.shards {
-            on += shard.online.iter().sum::<f64>();
-            off += shard.offline.iter().sum::<f64>();
+            on += (0..shard.lanes()).map(|i| shard.ledger(i).0).sum::<f64>();
+            off += (0..shard.lanes()).map(|i| shard.ledger(i).1).sum::<f64>();
         }
         (on, off)
     }
@@ -320,18 +309,18 @@ impl FleetRunner {
         }
         let steps = rows.len();
         let step0 = self.step;
-        let break_even = self.break_even;
         let trace_base = self.config.trace_stream_base;
         if self.shards.len() == 1 {
-            let shard = &mut self.shards[0];
-            process_block(shard, rows, step0, break_even, trace_base, emit, out)?;
+            let (shard, risk) = (&mut self.shards[0], &mut self.risk[0]);
+            run_shard(shard, risk, rows, step0, trace_base, emit, out)?;
         } else {
             let results: Vec<Result<(), skirental::Error>> = std::thread::scope(|scope| {
                 let mut rest = out;
                 let handles: Vec<_> = self
                     .shards
                     .iter_mut()
-                    .map(|shard| {
+                    .zip(&mut self.risk)
+                    .map(|(shard, risk)| {
                         // Each contiguous shard owns the contiguous
                         // lane-major output region of its lanes.
                         let (mine, remaining) = match rest.take() {
@@ -344,7 +333,7 @@ impl FleetRunner {
                         };
                         rest = remaining;
                         scope.spawn(move || {
-                            process_block(shard, rows, step0, break_even, trace_base, emit, mine)
+                            run_shard(shard, risk, rows, step0, trace_base, emit, mine)
                         })
                     })
                     .collect();
@@ -362,76 +351,55 @@ impl FleetRunner {
     }
 }
 
-/// Runs one shard through a block of steps: decide the shard's lanes in
-/// one flat pass per step, settle costs with expressions identical to
-/// the engine's reference loop, observe, and flush observability once.
-fn process_block(
-    shard: &mut ShardState,
+/// Runs one shard's engine through a block of steps. The hook captures
+/// decisions lane-major into `out`, records the risk sketches, and emits
+/// `StopCost` events; the engine flushes its counters once per block.
+fn run_shard(
+    engine: &mut ShardEngine,
+    risk: &mut RiskHandles,
     rows: &[Vec<f64>],
     step0: u64,
-    break_even: BreakEven,
     trace_base: u64,
     emit: bool,
     mut out: Option<(&mut [f64], &mut [VertexKind])>,
 ) -> Result<(), skirental::Error> {
-    let lanes = shard.lanes();
-    let steps = rows.len();
-    let mut tally = VertexTally::default();
-    let mut observations = 0u64;
+    let (base, lanes, steps) = (engine.base(), engine.lanes(), rows.len());
     let tracing = emit && obsv::tracer::observing();
     // Risk sketches are *state*, not trace: they record even when trace
     // emission is suppressed (journal-tail replay after recovery), so a
     // recovered daemon's risk counters are monotone across the crash.
-    let risk_on = obsv::risk::active();
-    if risk_on {
-        let hub = obsv::risk::global();
-        let epoch = hub.epoch();
-        if shard.risk_epoch != epoch || shard.risk_lanes.len() != lanes {
-            shard.risk_lanes = (0..lanes)
-                .map(|lane| hub.sketch(trace_base + (shard.base + lane) as u64))
-                .collect();
-            shard.risk_epoch = epoch;
-        }
-    }
+    let sketches = risk.refresh(engine, trace_base);
     for (t, row) in rows.iter().enumerate() {
-        shard.store.decide_batch(&mut shard.rngs, &mut shard.thresholds, &mut shard.vertices)?;
+        let row = &row[base..base + lanes];
         let step = step0 + t as u64;
-        for lane in 0..lanes {
-            let y = row[shard.base + lane];
-            let x = shard.thresholds[lane];
-            if let Some((th, vx)) = &mut out {
-                th[lane * steps + t] = x;
-                vx[lane * steps + t] = shard.vertices[lane];
-            }
-            // Same cost expression (and therefore bits) as the engine's
-            // reference loop in `process_shard`.
-            let cost = if x.is_infinite() { y } else { break_even.online_cost(x, y) };
-            let off = break_even.offline_cost(y);
-            shard.online[lane] += cost;
-            shard.offline[lane] += off;
-            tally.count(shard.vertices[lane]);
-            shard.store.observe(lane, y);
-            observations += 1;
-            if risk_on {
-                shard.risk_lanes[lane].record_ratio(cost, off);
-            }
-            if tracing {
-                // One record per (lane, step): stream identifies the
-                // lane, stop the step, so the merged sort order is
-                // independent of thread count and crash boundaries.
-                obsv::tracer::set_stream(trace_base + (shard.base + lane) as u64);
-                obsv::tracer::begin_stop(step);
-                obsv::tracer::emit(obsv::TraceEvent::StopCost {
-                    threshold_b: x,
-                    stop_s: y,
-                    online_s: cost,
-                    offline_s: off,
-                    restarted: !x.is_infinite() && y >= x,
-                });
-            }
-        }
+        engine.step(
+            |lane| row[lane],
+            |s| {
+                if let Some((th, vx)) = &mut out {
+                    th[s.lane * steps + t] = s.threshold;
+                    vx[s.lane * steps + t] = s.vertex;
+                }
+                if let Some(sketches) = sketches {
+                    sketches[s.lane].record_ratio(s.online, s.offline);
+                }
+                if tracing {
+                    // One record per (lane, step): stream identifies the
+                    // lane, stop the step, so the merged sort order is
+                    // independent of thread count and crash boundaries.
+                    obsv::tracer::set_stream(trace_base + (base + s.lane) as u64);
+                    obsv::tracer::begin_stop(step);
+                    obsv::tracer::emit(obsv::TraceEvent::StopCost {
+                        threshold_b: s.threshold,
+                        stop_s: s.stop,
+                        online_s: s.online,
+                        offline_s: s.offline,
+                        restarted: !s.threshold.is_infinite() && s.stop >= s.threshold,
+                    });
+                }
+            },
+        )?;
     }
-    flush_shard_observability(lanes as u64, tally.total(), observations, &tally);
+    engine.flush();
     Ok(())
 }
 

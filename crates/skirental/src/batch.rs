@@ -23,7 +23,17 @@
 //!   a pure function of the lane's `(key, ctr)` state and advances the
 //!   counter **only when the selected vertex actually consumes a draw**,
 //!   which is exactly how the scalar policies consume a `dyn RngCore` —
-//!   so batch and scalar paths see identical draws.
+//!   so batch and scalar paths see identical draws;
+//! * [`ShardEngine`] is the block engine, the one decide → settle →
+//!   observe loop: it owns a shard's store, RNG streams, and cost
+//!   ledgers, and hands every settled stop to a caller-supplied hook.
+//!
+//! The engine has two callers. [`run_fleet_batch`], the paper-evaluation
+//! path, builds one engine per shard per run, runs ragged stragglers
+//! lane by lane, and folds each decision into a [`ShardDigest`]. The
+//! crash-safe fleet runner (`fleetstate::FleetRunner`, which serves the
+//! daemon and recovery) keeps one engine per shard for its lifetime and
+//! its hook captures decisions, risk sketches, and per-stop trace events.
 //!
 //! **Bit-identity.** Every floating-point expression in the kernel is
 //! copied verbatim from the scalar path (`MomentEstimator::stats`,
@@ -34,10 +44,11 @@
 //! `tests/batch.rs` across cold start, windowed, min-history, and
 //! ladder-handoff regimes, and across 1/2/8 worker threads.
 //!
-//! **Observability amortization.** The batch path records no per-stop
-//! metric or span: each shard flushes bulk counters once
-//! (`skirental.batch.*` plus the shared `skirental.policy.*` vertex
-//! tallies), and when the decision tracer is active it emits a single
+//! **Observability amortization.** The engine records no per-stop
+//! metric or span: each shard flushes bulk counters once per run or
+//! block ([`ShardEngine::flush`]: `skirental.batch.*` plus the shared
+//! `skirental.policy.*` vertex tallies), and when the decision tracer is
+//! active [`run_fleet_batch`] emits a single
 //! [`obsv::TraceEvent::BatchShardDigest`] per shard instead of per-stop
 //! events. With the registry disabled the whole shard costs one relaxed
 //! load.
@@ -715,11 +726,9 @@ impl BatchStore {
 
 /// The canonical contiguous shard layout of a fleet: `ceil(n / shards)`
 /// lanes per shard, the same layout [`crate::parallel::try_shard_map`]
-/// and [`run_fleet_batch`] use. External batch drivers (the crash-safe
-/// fleet runner, the decision daemon's shard router) build their shards
-/// through this so every engine in the workspace agrees on which global
-/// lane index lives in which shard — and, because all lane arithmetic is
-/// keyed by *global* index, on the exact bits each lane produces.
+/// and [`run_fleet_batch`] use. The crash-safe fleet runner builds its
+/// shards through this so it agrees with [`run_fleet_batch`] on which
+/// global lane index lives in which shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     lanes: usize,
@@ -859,21 +868,6 @@ impl FleetBatchReport {
     }
 }
 
-/// Flushes one batched shard's worth of observability counters
-/// (`skirental.batch.*` plus the shared `skirental.policy.*` vertex
-/// tallies) — the same bulk flush [`run_fleet_batch`] performs per
-/// shard, exposed for external batch drivers (such as the crash-safe
-/// fleet runner) so dashboards see identical totals whichever engine
-/// served the fleet.
-pub fn flush_shard_observability(
-    vehicles: u64,
-    decisions: u64,
-    observations: u64,
-    tally: &VertexTally,
-) {
-    obs::metrics().flush_batch_shard(vehicles, decisions, observations, tally);
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -886,9 +880,200 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// One shard's worth of work for [`run_fleet_batch`]: time-major batched
-/// decide/observe over the shard's vehicles, per-vehicle cost ledgers,
-/// one metrics flush and (optionally) one trace digest at the end.
+/// One decided and settled stop, handed to the caller's hook after
+/// [`ShardEngine`] has charged both ledgers and observed the stop.
+#[derive(Debug, Clone, Copy)]
+pub struct Settled {
+    /// Shard-local lane index.
+    pub lane: usize,
+    /// The stop's duration (seconds).
+    pub stop: f64,
+    /// The threshold played (seconds).
+    pub threshold: f64,
+    /// The vertex that chose the threshold.
+    pub vertex: VertexKind,
+    /// Online cost charged for the stop.
+    pub online: f64,
+    /// Offline (hindsight-optimal) cost of the stop.
+    pub offline: f64,
+}
+
+/// The block engine: one contiguous shard of the fleet with its
+/// estimator store, per-lane RNG streams, decision scratch, and cost
+/// ledgers. Each step decides, settles both costs, observes the stop,
+/// and hands the [`Settled`] stop to the caller's hook. RNG streams are
+/// keyed by *global* lane index (`base + i`), so results are
+/// independent of the shard layout.
+#[derive(Debug)]
+pub struct ShardEngine {
+    base: usize,
+    store: BatchStore,
+    rngs: Vec<CounterRng>,
+    thresholds: Vec<f64>,
+    vertices: Vec<VertexKind>,
+    online: Vec<f64>,
+    offline: Vec<f64>,
+    /// Decisions since the last [`ShardEngine::flush`].
+    tally: VertexTally,
+}
+
+impl ShardEngine {
+    /// A cold-start shard of `lanes` lanes whose first lane is global
+    /// lane `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes == 0`, `cfg.window == Some(0)`, or
+    /// `cfg.min_history == 0`.
+    #[must_use]
+    pub fn new(break_even: BreakEven, cfg: &BatchConfig, base: usize, lanes: usize) -> Self {
+        let store = match cfg.window {
+            Some(w) => BatchStore::with_window(break_even, lanes, w),
+            None => BatchStore::new(break_even, lanes),
+        }
+        .min_history(cfg.min_history);
+        Self {
+            base,
+            store,
+            rngs: (0..lanes).map(|i| CounterRng::for_stream(cfg.seed, (base + i) as u64)).collect(),
+            thresholds: vec![0.0; lanes],
+            vertices: vec![VertexKind::ColdStart; lanes],
+            online: vec![0.0; lanes],
+            offline: vec![0.0; lanes],
+            tally: VertexTally::default(),
+        }
+    }
+
+    /// Global index of the shard's first lane.
+    #[must_use]
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// Lanes in the shard.
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        self.rngs.len()
+    }
+
+    /// Decides and settles one step for every lane: `stop(i)` is lane
+    /// `i`'s stop duration, and `hook` sees each settled stop in lane
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Never in practice: the engine sizes its own decision buffers, so
+    /// the kernel's shape check cannot fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stop is negative or non-finite.
+    #[inline]
+    pub fn step(
+        &mut self,
+        stop: impl Fn(usize) -> f64,
+        mut hook: impl FnMut(Settled),
+    ) -> Result<(), Error> {
+        self.store.decide_batch(&mut self.rngs, &mut self.thresholds, &mut self.vertices)?;
+        for lane in 0..self.lanes() {
+            let (x, v) = (self.thresholds[lane], self.vertices[lane]);
+            self.settle(lane, stop(lane), x, v, &mut hook);
+        }
+        Ok(())
+    }
+
+    /// Decides and settles one step of lane `lane` alone: a straggler
+    /// of a ragged shard whose other lanes have run out of stops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or `stop` is negative or
+    /// non-finite.
+    #[inline]
+    pub fn step_lane(&mut self, lane: usize, stop: f64, mut hook: impl FnMut(Settled)) {
+        let (x, v) = self.store.decide_lane(lane, &mut self.rngs[lane]);
+        self.settle(lane, stop, x, v, &mut hook);
+    }
+
+    /// The per-stop settle rule, shared by both step kinds.
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        lane: usize,
+        y: f64,
+        x: f64,
+        v: VertexKind,
+        hook: &mut impl FnMut(Settled),
+    ) {
+        // Same cost expression as `AdaptiveController::run` (the batch
+        // vertices never draw an infinite threshold, but keeping the
+        // guard keeps the expression — and its FP result — identical).
+        let online = if x.is_infinite() { y } else { self.store.break_even.online_cost(x, y) };
+        let offline = self.store.break_even.offline_cost(y);
+        self.online[lane] += online;
+        self.offline[lane] += offline;
+        self.tally.count(v);
+        self.store.observe(lane, y);
+        hook(Settled { lane, stop: y, threshold: x, vertex: v, online, offline });
+    }
+
+    /// Flushes the decisions since the last flush to the
+    /// `skirental.batch.*` and `skirental.policy.*` counters as one
+    /// shard, and returns their vertex tally. Callers flush once per
+    /// block, so a dashboard counts one shard per shard and block.
+    pub fn flush(&mut self) -> VertexTally {
+        let tally = std::mem::take(&mut self.tally);
+        obs::metrics().flush_batch_shard(self.lanes() as u64, tally.total(), tally.total(), &tally);
+        tally
+    }
+
+    /// Lane `lane`'s `(online, offline)` cost ledger.
+    #[must_use]
+    pub fn ledger(&self, lane: usize) -> (f64, f64) {
+        (self.online[lane], self.offline[lane])
+    }
+
+    /// Lane `lane`'s estimator state and RNG stream position; with
+    /// [`ShardEngine::ledger`], all of the lane's state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    #[must_use]
+    pub fn export_lane(&self, lane: usize) -> (LaneState, CounterRng) {
+        (self.store.export_lane(lane), self.rngs[lane])
+    }
+
+    /// Installs a lane previously read with [`ShardEngine::export_lane`]
+    /// and [`ShardEngine::ledger`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidPersistedState`] if `state` does not fit this
+    /// shard's configuration (see [`BatchStore::restore_lane`]); the
+    /// lane is untouched on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn restore_lane(
+        &mut self,
+        lane: usize,
+        state: &LaneState,
+        rng: CounterRng,
+        ledger: (f64, f64),
+    ) -> Result<(), Error> {
+        self.store.restore_lane(lane, state)?;
+        self.rngs[lane] = rng;
+        (self.online[lane], self.offline[lane]) = ledger;
+        Ok(())
+    }
+}
+
+/// One shard's worth of work for [`run_fleet_batch`]: the shard's
+/// vehicles through a [`ShardEngine`] time-major, folding every decision
+/// into the shard digest, then one metrics flush and (optionally) one
+/// trace digest.
 fn process_shard(
     base: usize,
     shard: &[Vec<f64>],
@@ -896,94 +1081,39 @@ fn process_shard(
     cfg: &BatchConfig,
 ) -> Result<(Vec<AdaptiveOutcome>, ShardDigest), Error> {
     let lanes = shard.len();
-    let mut store = match cfg.window {
-        Some(w) => BatchStore::with_window(break_even, lanes, w),
-        None => BatchStore::new(break_even, lanes),
-    }
-    .min_history(cfg.min_history);
-
-    let mut rngs: Vec<CounterRng> =
-        (0..lanes).map(|i| CounterRng::for_stream(cfg.seed, (base + i) as u64)).collect();
-    let mut thresholds = vec![0.0_f64; lanes];
-    let mut vertices = vec![VertexKind::ColdStart; lanes];
-    let mut online = vec![0.0_f64; lanes];
-    let mut offline = vec![0.0_f64; lanes];
+    let mut engine = ShardEngine::new(break_even, cfg, base, lanes);
+    let mut hash = FNV_OFFSET;
+    let mut fold = |s: Settled| {
+        hash = fnv1a(hash, &s.threshold.to_bits().to_le_bytes());
+        hash = fnv1a(hash, &[s.vertex as u8]);
+    };
 
     // Every lane is live for the common prefix; stragglers of ragged
     // shards run one lane at a time through the same kernel.
     let common_len = shard.iter().map(Vec::len).min().unwrap_or(0);
     let max_len = shard.iter().map(Vec::len).max().unwrap_or(0);
-    let mut tally = VertexTally::default();
-    let mut hash = FNV_OFFSET;
-    let mut observations = 0u64;
-
-    let settle = |lane: usize,
-                  y: f64,
-                  x: f64,
-                  v: VertexKind,
-                  online: &mut [f64],
-                  offline: &mut [f64],
-                  store: &mut BatchStore,
-                  tally: &mut VertexTally,
-                  hash: &mut u64| {
-        // Same cost expression as `AdaptiveController::run` (the batch
-        // vertices never draw an infinite threshold, but keeping the
-        // guard keeps the expression — and its FP result — identical).
-        let cost = if x.is_infinite() { y } else { break_even.online_cost(x, y) };
-        online[lane] += cost;
-        offline[lane] += break_even.offline_cost(y);
-        tally.count(v);
-        *hash = fnv1a(*hash, &x.to_bits().to_le_bytes());
-        *hash = fnv1a(*hash, &[v as u8]);
-        store.observe(lane, y);
-    };
-
-    // Time-major so one `decide_batch` serves every lane per step;
     // `t` indexes the ragged per-lane traces, which an iterator over
     // `shard` can't express.
     #[allow(clippy::needless_range_loop)]
     for t in 0..common_len {
-        store.decide_batch(&mut rngs, &mut thresholds, &mut vertices)?;
-        for lane in 0..lanes {
-            let y = shard[lane][t];
-            settle(
-                lane,
-                y,
-                thresholds[lane],
-                vertices[lane],
-                &mut online,
-                &mut offline,
-                &mut store,
-                &mut tally,
-                &mut hash,
-            );
-            observations += 1;
-        }
+        engine.step(|lane| shard[lane][t], &mut fold)?;
     }
     for t in common_len..max_len {
-        for lane in 0..lanes {
-            if t < shard[lane].len() {
-                let (x, v) = store.decide_lane(lane, &mut rngs[lane]);
-                let y = shard[lane][t];
-                settle(lane, y, x, v, &mut online, &mut offline, &mut store, &mut tally, &mut hash);
-                observations += 1;
+        for (lane, stops) in shard.iter().enumerate() {
+            if let Some(&y) = stops.get(t) {
+                engine.step_lane(lane, y, &mut fold);
             }
         }
     }
+    let tally = engine.flush();
 
     let m = obs::metrics();
-    m.flush_batch_shard(lanes as u64, tally.total(), observations, &tally);
-
     let outcomes: Vec<AdaptiveOutcome> = (0..lanes)
         .map(|i| {
-            let cr = realized_cr(online[i], offline[i]);
+            let (online_cost, offline_cost) = engine.ledger(i);
+            let cr = realized_cr(online_cost, offline_cost);
             m.record_cr(cr);
-            AdaptiveOutcome {
-                online_cost: online[i],
-                offline_cost: offline[i],
-                cr,
-                stops: shard[i].len(),
-            }
+            AdaptiveOutcome { online_cost, offline_cost, cr, stops: shard[i].len() }
         })
         .collect();
 
@@ -1013,9 +1143,9 @@ fn process_shard(
 
 /// Runs the honest adaptive online loop over a whole fleet through the
 /// batched engine: vehicles are sharded contiguously across `threads`
-/// worker threads ([`crate::parallel::try_shard_map`]), each shard is
-/// decided time-major through [`BatchStore::decide_batch`], and
-/// observability is flushed once per shard.
+/// worker threads ([`crate::parallel::try_shard_map`]), each shard runs
+/// time-major through a [`ShardEngine`], and observability is flushed
+/// once per shard.
 ///
 /// Per-vehicle outcomes are **bit-identical** to [`run_fleet_scalar`]
 /// with the same config, for any thread count: the per-vehicle RNG
