@@ -133,9 +133,10 @@ where
 }
 
 /// Maps `f` over contiguous **shards** of `items` on up to `threads`
-/// scoped threads, returning one result per shard in input order. `f`
-/// receives `(base, shard)` where `base` is the index of the shard's
-/// first item in `items`.
+/// scoped threads, returning one result per shard in input order, or
+/// the error of the shard with the earliest base index for which `f`
+/// fails. `f` receives `(base, shard)` where `base` is the index of the
+/// shard's first item in `items`.
 ///
 /// Unlike [`chunked_map`], which calls `f` once per item and therefore
 /// shards *items*, this shards *calls*: callers that amortize work
@@ -146,27 +147,6 @@ where
 /// concatenate in input order. Bit-identical output across thread
 /// counts is the *caller's* responsibility: `f` must derive per-item
 /// state from global indices (`base + i`), never from shard boundaries.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or propagates a panic from `f`.
-pub fn shard_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let res: Result<Vec<R>, std::convert::Infallible> =
-        try_shard_map(items, threads, |base, shard| Ok(f(base, shard)));
-    match res {
-        Ok(v) => v,
-        Err(e) => match e {},
-    }
-}
-
-/// Fallible variant of [`shard_map`]: returns the error of the shard
-/// with the earliest base index for which `f` fails, or all shard
-/// results in input order.
 ///
 /// With `threads == 1` the map runs serially on the caller's thread
 /// (still as one shard per `ceil(n / threads)` items — i.e. a single
@@ -308,23 +288,24 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_covers_input_in_order() {
+    fn try_shard_map_covers_input_in_order() {
         let items: Vec<usize> = (0..103).collect();
         for threads in [1, 2, 4, 7, 64] {
-            let shards = shard_map(&items, threads, |base, shard| {
+            let shards = try_shard_map(&items, threads, |base, shard| {
                 // Every shard sees its global base index.
                 assert_eq!(shard[0], base, "t={threads}");
-                (base, shard.to_vec())
-            });
+                Ok::<_, ()>((base, shard.to_vec()))
+            })
+            .unwrap();
             let flat: Vec<usize> = shards.into_iter().flat_map(|(_, s)| s).collect();
             assert_eq!(flat, items, "t={threads}");
         }
     }
 
     #[test]
-    fn shard_map_empty_input_ok() {
-        let out: Vec<usize> = shard_map(&[] as &[i32], 4, |base, _| base);
-        assert!(out.is_empty());
+    fn try_shard_map_empty_input_ok() {
+        let out: Result<Vec<usize>, ()> = try_shard_map(&[] as &[i32], 4, |base, _| Ok(base));
+        assert_eq!(out, Ok(Vec::new()));
     }
 
     #[test]
@@ -340,7 +321,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least one thread")]
-    fn shard_map_zero_threads_rejected() {
-        let _ = shard_map(&[1], 0, |_, s: &[i32]| s.len());
+    fn try_shard_map_zero_threads_rejected() {
+        let _ = try_shard_map(&[1], 0, |_, s: &[i32]| Ok::<_, ()>(s.len()));
     }
 }
