@@ -17,7 +17,6 @@ use std::fmt;
 
 /// One of the three NREL collection areas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Area {
     /// Southern California fleet.
     California,
@@ -110,7 +109,6 @@ impl fmt::Display for Area {
 /// parking idling is a Pareto tail (the source of the heavy tail that
 /// defeats the exponential fit in Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaParams {
     /// Which area this parameterizes.
     pub area: Area,

@@ -13,7 +13,6 @@ use stopmodel::uniform01;
 
 /// Relative stop intensity for each hour of the day.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiurnalProfile {
     /// Normalized per-hour probabilities (sum = 1).
     hourly: [f64; 24],

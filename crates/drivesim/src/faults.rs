@@ -34,7 +34,6 @@ use stopmodel::uniform01;
 /// One class of sensor/bus fault, applied independently per event with a
 /// given rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Fault {
     /// The event is lost entirely (dropped CAN frame).
     Dropout {
@@ -159,7 +158,6 @@ impl Fault {
 /// input of the next, so e.g. a duplicated event can subsequently be
 /// corrupted.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     faults: Vec<Fault>,
 }

@@ -20,7 +20,6 @@ use std::fmt;
 
 /// Per-class counts of what a sanitization pass dropped (and kept).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SanitizeReport {
     /// Events in the raw input stream.
     pub input_events: u64,
@@ -102,7 +101,6 @@ impl fmt::Display for SanitizeReport {
 /// assert_eq!(report.out_of_order, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceSanitizer {
     /// Durations above this are dropped as implausible. Default `+∞`
     /// (disabled): synthesized heavy-tail traces legitimately contain

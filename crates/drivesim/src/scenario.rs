@@ -12,7 +12,6 @@ use stopmodel::dist::{Censored, LogNormal, Mixture, Pareto, Uniform};
 
 /// An archetypal driving pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scenario {
     /// Suburban commuter: lights and signs, occasional congestion.
     Commuter,

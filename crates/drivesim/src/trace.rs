@@ -11,7 +11,6 @@ use std::fmt;
 
 /// Why the vehicle stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StopCause {
     /// Waiting at a traffic light.
     TrafficLight,
@@ -40,7 +39,6 @@ impl fmt::Display for StopCause {
 
 /// One stop event.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StopEvent {
     /// Start time, seconds since the trace began.
     pub start_s: f64,
@@ -52,7 +50,6 @@ pub struct StopEvent {
 
 /// One vehicle's stop-event trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VehicleTrace {
     /// Vehicle identifier (unique within a synthesized fleet).
     pub vehicle_id: u32,

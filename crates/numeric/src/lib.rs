@@ -1,8 +1,7 @@
 //! Numerical substrate for the automotive-idling reproduction.
 //!
-//! This crate is intentionally dependency-free (modulo optional `serde`
-//! derives) and provides the small numerical toolbox that the rest of the
-//! workspace builds on:
+//! This crate is intentionally dependency-free and provides the small
+//! numerical toolbox that the rest of the workspace builds on:
 //!
 //! * [`quadrature`] — adaptive Simpson integration, used to cross-validate
 //!   the closed-form expected-cost integrals of the randomized ski-rental

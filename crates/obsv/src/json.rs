@@ -1,7 +1,7 @@
 //! Minimal JSON: just enough to emit and parse [`crate::RunReport`]s.
 //!
-//! The workspace is offline and its vendored `serde` is a compile-only
-//! marker, so this module hand-rolls the subset of JSON the reports need:
+//! The workspace is offline and has no `serde`, so this module
+//! hand-rolls the subset of JSON the reports need:
 //! objects, arrays, strings, numbers, booleans, and null. Emission is
 //! deterministic (objects are `BTreeMap`s, floats use Rust's shortest
 //! round-trip formatting), which keeps checked-in baselines diff-stable.

@@ -4,8 +4,7 @@
 //! in nothing: counters, gauges, and histograms are plain atomics, span
 //! timers are `std::time::Instant` pairs, and the machine-readable
 //! [`RunReport`] is emitted and parsed by a built-in minimal JSON module
-//! (the workspace's vendored `serde` stand-in is a no-op marker, so hand
-//! rolling the few dozen lines is the only way to actually serialize).
+//! (the workspace has no `serde`, so it hand-rolls the few dozen lines).
 //!
 //! # Design
 //!

@@ -31,7 +31,6 @@ impl std::error::Error for BatteryModelError {}
 /// discharge, log-linearly interpolated between anchor points and clamped
 /// outside them.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CycleLifeCurve {
     /// `(dod_fraction, cycles)`, sorted by DoD ascending, cycles strictly
     /// decreasing.
@@ -118,7 +117,6 @@ impl CycleLifeCurve {
 /// event: accessories draw from the battery, and the restart crank takes a
 /// fixed slug of energy.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatteryPack {
     capacity_wh: f64,
     price_dollars: f64,

@@ -22,7 +22,6 @@ use std::fmt;
 /// Whether the vehicle has a stop-start system (strengthened starter and
 /// battery) or is conventional.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VehicleKind {
     /// Stop-start vehicle / micro-hybrid.
     StopStart,
@@ -44,7 +43,6 @@ impl VehicleKind {
 
 /// A complete vehicle cost specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VehicleSpec {
     kind: VehicleKind,
     fuel: IdleFuelModel,
@@ -154,7 +152,6 @@ impl VehicleSpec {
 /// The restart cost split into its Appendix-C components, each in seconds
 /// of idling.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BreakEvenBreakdown {
     /// Restart fuel burn (the "10 seconds" consensus figure).
     pub fuel_s: f64,

@@ -28,7 +28,6 @@ pub const DEFAULT_CRANK_SECONDS: f64 = 0.7;
 /// [`FaultAction::SkipStop`] (or [`FaultAction::Resync`]) so one corrupted
 /// event costs one stop, not the whole vehicle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultAction {
     /// Feed events through unchecked; corruption aborts the drive with a
     /// [`TransitionError`].
@@ -89,7 +88,6 @@ impl From<TransitionError> for BatchDriveError {
 
 /// Accumulated outcome of driving a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DriveOutcome {
     /// Number of stops handled.
     pub stops: u64,

@@ -38,7 +38,6 @@ pub const NOX_TAX_DOLLARS_PER_MG: f64 = 5.8e-6;
 
 /// A ledger of exhaust-gas masses, in milligrams.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Emissions {
     /// Total hydrocarbons, mg.
     pub thc_mg: f64,

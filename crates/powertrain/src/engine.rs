@@ -20,7 +20,6 @@ use std::fmt;
 
 /// The engine/vehicle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EngineState {
     /// Vehicle moving, engine running.
     Running,
@@ -46,7 +45,6 @@ impl fmt::Display for EngineState {
 
 /// Events that drive the state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EngineEvent {
     /// The vehicle comes to a stop (traffic light, congestion, …).
     VehicleStops,

@@ -78,7 +78,6 @@ pub fn idling_cost_per_s(fuel_cc_per_s: f64, price_per_gallon: f64) -> f64 {
 
 /// An engine's idle burn characteristics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdleFuelModel {
     /// Idle burn rate in cc/s.
     cc_per_s: f64,

@@ -24,7 +24,6 @@ pub const STOPS_PER_DAY_UPPER: f64 = 32.43;
 
 /// Starter wear model: amortized replacement economics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StarterModel {
     /// Replacement part cost, dollars.
     replacement_dollars: f64,
@@ -113,7 +112,6 @@ impl StarterModel {
 
 /// Battery wear model: amortized battery price over warranty stops.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatteryModel {
     /// Battery price (without labor), dollars.
     price_dollars: f64,

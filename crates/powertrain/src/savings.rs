@@ -17,7 +17,6 @@ pub const CO2_KG_PER_GALLON: f64 = 8.887;
 
 /// A per-year (or per-fleet-year) resource projection.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnnualProjection {
     /// Fuel burned on stop handling, US gallons.
     pub fuel_gallons: f64,

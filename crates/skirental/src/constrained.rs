@@ -32,7 +32,6 @@ use stopmodel::{ConstrainedMoments, StopDistribution};
 
 /// Which of the four vertex strategies the constrained solver selected.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StrategyChoice {
     /// Deterministic threshold at `B`.
     Det,
@@ -62,7 +61,6 @@ impl StrategyChoice {
 
 /// The b-DET vertex, when it exists.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BDetVertex {
     /// The optimal threshold `b* = √(μ_B⁻·B / q_B⁺)`.
     pub b: f64,
@@ -72,7 +70,6 @@ pub struct BDetVertex {
 
 /// Worst-case expected costs of the four vertex strategies.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VertexCosts {
     /// `e/(e−1)·(μ_B⁻ + q_B⁺·B)`.
     pub n_rand: f64,
@@ -119,7 +116,6 @@ pub struct LpSolution {
 /// from a stop trace, or from an analytic distribution, then ask for the
 /// minimax-optimal online strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConstrainedStats {
     moments: ConstrainedMoments,
 }

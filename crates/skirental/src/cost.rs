@@ -20,7 +20,6 @@ use std::fmt;
 /// seconds of idling (newtype so it cannot be confused with a stop length
 /// or a threshold).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BreakEven(f64);
 
 impl BreakEven {

@@ -43,7 +43,6 @@ use std::collections::VecDeque;
 
 /// How much the controller currently trusts its sensor stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrustLevel {
     /// Healthy: run the estimated proposed policy.
     Full,
@@ -67,7 +66,6 @@ impl TrustLevel {
 
 /// Per-class counts of quarantined sensor readings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnomalyCounts {
     /// NaN or ±∞ readings.
     pub non_finite: u64,
@@ -98,7 +96,6 @@ impl AnomalyCounts {
 
 /// Tuning knobs for the degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DegradationConfig {
     /// Sliding window (in readings) over which anomalies are counted.
     pub window: usize,

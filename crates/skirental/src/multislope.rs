@@ -27,7 +27,6 @@ use crate::Error;
 /// One engine state: a rent `rate` (cost per second of stop time) reached
 /// after a one-time `cumulative_cost`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Slope {
     /// Cost per second while stopped in this state (idle-equivalent
     /// seconds per second, i.e. state 0 has rate 1).
@@ -39,7 +38,6 @@ pub struct Slope {
 
 /// A validated multislope (multi-state power-down) instance.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiSlope {
     slopes: Vec<Slope>,
     /// `breakpoints[i]` is the stop length at which the offline envelope

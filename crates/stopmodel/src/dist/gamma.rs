@@ -11,7 +11,6 @@ use rand::RngCore;
 /// Used by calibration experiments as an alternative body to the
 /// log-normal.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gamma {
     shape: f64,
     scale: f64,

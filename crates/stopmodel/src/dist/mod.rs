@@ -192,7 +192,6 @@ impl<T: StopDistribution + ?Sized> StopDistribution for Box<T> {
 /// exponential stops, and then shows real data rejects that assumption —
 /// this type is both the null model of the K-S test and a baseline workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Exponential {
     rate: f64,
 }
@@ -295,7 +294,6 @@ impl StopDistribution for Exponential {
 
 /// Uniform stop lengths on `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Uniform {
     lo: f64,
     hi: f64,
@@ -375,7 +373,6 @@ impl StopDistribution for Uniform {
 /// well described by a log-normal; the synthetic NREL-like fleets use it as
 /// the short-stop component of their mixtures.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
@@ -486,7 +483,6 @@ impl StopDistribution for LogNormal {
 ///
 /// A shape below 1 produces the heavy-ish tails seen in congestion stops.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Weibull {
     shape: f64,
     scale: f64,
@@ -568,7 +564,6 @@ impl StopDistribution for Weibull {
 /// heavy tail is exactly what defeats the exponential assumption in the
 /// paper's Figure 3 and what makes `q_B⁺` informative.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pareto {
     scale: f64,
     shape: f64,
@@ -866,7 +861,6 @@ impl StopDistribution for Mixture {
 ///
 /// [`tail_prob`]: StopDistribution::tail_prob
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Discrete {
     /// Atoms sorted by value: `(value, probability)`.
     atoms: Vec<(f64, f64)>,
@@ -988,7 +982,6 @@ impl StopDistribution for Discrete {
 /// estimate, adequate for plotting (Figure 3) but not for quadrature —
 /// which is why the moment functionals are overridden with exact sums.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Empirical {
     /// Observations sorted ascending.
     sorted: Vec<f64>,

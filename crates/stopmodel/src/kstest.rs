@@ -12,7 +12,6 @@ use numeric::special::ks_p_value;
 
 /// Result of a Kolmogorov–Smirnov test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KsResult {
     /// The K-S statistic `D` (sup-distance between CDFs).
     pub statistic: f64,

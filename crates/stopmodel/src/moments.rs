@@ -20,7 +20,6 @@ use crate::dist::StopDistribution;
 /// `0 ≤ μ_B⁻ ≤ (1 − q_B⁺)·B` — the last because every short stop is shorter
 /// than `B`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConstrainedMoments {
     /// Break-even interval `B` in seconds.
     pub break_even: f64,
