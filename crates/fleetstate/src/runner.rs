@@ -373,7 +373,7 @@ fn run_shard(
         let row = &row[base..base + lanes];
         let step = step0 + t as u64;
         engine.step(
-            |lane| row[lane],
+            move |lane| row[lane],
             |s| {
                 if let Some((th, vx)) = &mut out {
                     th[s.lane * steps + t] = s.threshold;

@@ -958,7 +958,8 @@ impl ShardEngine {
 
     /// Decides and settles one step for every lane: `stop(i)` is lane
     /// `i`'s stop duration, and `hook` sees each settled stop in lane
-    /// order.
+    /// order. Let `stop` capture its slices by value (`move`): a
+    /// captured reference is reloaded after every observe.
     ///
     /// # Errors
     ///
@@ -975,10 +976,15 @@ impl ShardEngine {
         mut hook: impl FnMut(Settled),
     ) -> Result<(), Error> {
         self.store.decide_batch(&mut self.rngs, &mut self.thresholds, &mut self.vertices)?;
+        // Tallied in a local: engines of concurrent shards sit side by
+        // side in their owner's `Vec`, and a per-stop write to the
+        // engine itself would bounce that cache line between threads.
+        let mut tally = self.tally;
         for lane in 0..self.lanes() {
             let (x, v) = (self.thresholds[lane], self.vertices[lane]);
-            self.settle(lane, stop(lane), x, v, &mut hook);
+            self.settle(lane, stop(lane), x, v, &mut tally, &mut hook);
         }
+        self.tally = tally;
         Ok(())
     }
 
@@ -992,7 +998,9 @@ impl ShardEngine {
     #[inline]
     pub fn step_lane(&mut self, lane: usize, stop: f64, mut hook: impl FnMut(Settled)) {
         let (x, v) = self.store.decide_lane(lane, &mut self.rngs[lane]);
-        self.settle(lane, stop, x, v, &mut hook);
+        let mut tally = self.tally;
+        self.settle(lane, stop, x, v, &mut tally, &mut hook);
+        self.tally = tally;
     }
 
     /// The per-stop settle rule, shared by both step kinds.
@@ -1003,6 +1011,7 @@ impl ShardEngine {
         y: f64,
         x: f64,
         v: VertexKind,
+        tally: &mut VertexTally,
         hook: &mut impl FnMut(Settled),
     ) {
         // Same cost expression as `AdaptiveController::run` (the batch
@@ -1012,7 +1021,7 @@ impl ShardEngine {
         let offline = self.store.break_even.offline_cost(y);
         self.online[lane] += online;
         self.offline[lane] += offline;
-        self.tally.count(v);
+        tally.count(v);
         self.store.observe(lane, y);
         hook(Settled { lane, stop: y, threshold: x, vertex: v, online, offline });
     }
@@ -1096,7 +1105,7 @@ fn process_shard(
     // `shard` can't express.
     #[allow(clippy::needless_range_loop)]
     for t in 0..common_len {
-        engine.step(|lane| shard[lane][t], &mut fold)?;
+        engine.step(move |lane| shard[lane][t], &mut fold)?;
     }
     for t in common_len..max_len {
         for (lane, stops) in shard.iter().enumerate() {
