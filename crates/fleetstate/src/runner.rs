@@ -311,8 +311,7 @@ impl FleetRunner {
         let step0 = self.step;
         let trace_base = self.config.trace_stream_base;
         if self.shards.len() == 1 {
-            let (shard, risk) = (&mut self.shards[0], &mut self.risk[0]);
-            run_shard(shard, risk, rows, step0, trace_base, emit, out)?;
+            run_shard(&mut self.shards[0], &mut self.risk[0], rows, step0, trace_base, emit, out)?;
         } else {
             let results: Vec<Result<(), skirental::Error>> = std::thread::scope(|scope| {
                 let mut rest = out;

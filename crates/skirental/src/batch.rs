@@ -1032,7 +1032,7 @@ impl ShardEngine {
     /// block, so a dashboard counts one shard per shard and block.
     pub fn flush(&mut self) -> VertexTally {
         let tally = std::mem::take(&mut self.tally);
-        obs::metrics().flush_batch_shard(self.lanes() as u64, tally.total(), tally.total(), &tally);
+        obs::metrics().flush_batch_shard(self.lanes() as u64, &tally);
         tally
     }
 

@@ -75,22 +75,16 @@ impl Metrics {
         }
     }
 
-    /// Bulk flush of one batched shard's worth of decisions: shard/lane
-    /// counters plus the same `skirental.policy.*` /
-    /// `skirental.estimator.*` tallies the scalar path increments one
-    /// stop at a time — so dashboards see identical totals whichever
-    /// engine served the fleet.
-    pub fn flush_batch_shard(
-        &self,
-        vehicles: u64,
-        decisions: u64,
-        observations: u64,
-        tally: &crate::batch::VertexTally,
-    ) {
+    /// Bulk flush of one batched shard's worth of decisions (each of
+    /// which observed its stop): shard/lane counters plus the same
+    /// `skirental.policy.*` / `skirental.estimator.*` tallies the scalar
+    /// path increments one stop at a time — so dashboards see identical
+    /// totals whichever path served the fleet.
+    pub fn flush_batch_shard(&self, vehicles: u64, tally: &crate::batch::VertexTally) {
         self.batch_shards.inc();
         self.batch_vehicles.add(vehicles);
-        self.batch_decisions.add(decisions);
-        self.observations_accepted.add(observations);
+        self.batch_decisions.add(tally.total());
+        self.observations_accepted.add(tally.total());
         self.decisions_cold_start.add(tally.cold_start);
         self.policy_det.add(tally.det);
         self.policy_toi.add(tally.toi);
