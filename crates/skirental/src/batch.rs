@@ -982,7 +982,8 @@ impl ShardEngine {
         let mut tally = self.tally;
         for lane in 0..self.lanes() {
             let (x, v) = (self.thresholds[lane], self.vertices[lane]);
-            self.settle(lane, stop(lane), x, v, &mut tally, &mut hook);
+            tally.count(v);
+            hook(self.settle(lane, stop(lane), x, v));
         }
         self.tally = tally;
         Ok(())
@@ -996,24 +997,16 @@ impl ShardEngine {
     /// Panics if `lane` is out of range or `stop` is negative or
     /// non-finite.
     #[inline]
-    pub fn step_lane(&mut self, lane: usize, stop: f64, mut hook: impl FnMut(Settled)) {
+    pub fn step_lane(&mut self, lane: usize, stop: f64, hook: impl FnOnce(Settled)) {
         let (x, v) = self.store.decide_lane(lane, &mut self.rngs[lane]);
-        let mut tally = self.tally;
-        self.settle(lane, stop, x, v, &mut tally, &mut hook);
-        self.tally = tally;
+        self.tally.count(v);
+        hook(self.settle(lane, stop, x, v));
     }
 
-    /// The per-stop settle rule, shared by both step kinds.
+    /// The per-stop settle rule, shared by both step kinds: charges
+    /// both ledgers and observes the stop.
     #[inline(always)]
-    fn settle(
-        &mut self,
-        lane: usize,
-        y: f64,
-        x: f64,
-        v: VertexKind,
-        tally: &mut VertexTally,
-        hook: &mut impl FnMut(Settled),
-    ) {
+    fn settle(&mut self, lane: usize, y: f64, x: f64, v: VertexKind) -> Settled {
         // Same cost expression as `AdaptiveController::run` (the batch
         // vertices never draw an infinite threshold, but keeping the
         // guard keeps the expression — and its FP result — identical).
@@ -1021,9 +1014,8 @@ impl ShardEngine {
         let offline = self.store.break_even.offline_cost(y);
         self.online[lane] += online;
         self.offline[lane] += offline;
-        tally.count(v);
         self.store.observe(lane, y);
-        hook(Settled { lane, stop: y, threshold: x, vertex: v, online, offline });
+        Settled { lane, stop: y, threshold: x, vertex: v, online, offline }
     }
 
     /// Flushes the decisions since the last flush to the

@@ -290,50 +290,6 @@ pub fn evaluate_fleet_parallel(
     Ok(summarize(strategies, vehicles))
 }
 
-/// Evaluates the honest **online** adaptive controller over a fleet
-/// through the batched SoA engine ([`crate::batch`]): vehicles are
-/// sharded across `threads` workers and each shard is decided whole
-/// batches at a time. Unlike [`evaluate_fleet`], which scores policies
-/// fit in hindsight on each vehicle's full trace, this runs the causal
-/// estimate-then-decide loop a deployed controller would.
-///
-/// Per-vehicle outcomes are bit-identical to
-/// [`evaluate_fleet_adaptive`] (the scalar reference) with the same
-/// config, for any thread count.
-///
-/// # Errors
-///
-/// [`Error::EmptyTrace`] if the fleet is empty or any vehicle's trace
-/// is.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or a stop is negative or non-finite.
-pub fn evaluate_fleet_adaptive_batched(
-    vehicle_stops: &[Vec<f64>],
-    break_even: BreakEven,
-    cfg: &crate::batch::BatchConfig,
-    threads: usize,
-) -> Result<crate::batch::FleetBatchReport, Error> {
-    crate::batch::run_fleet_batch(vehicle_stops, break_even, cfg, threads)
-}
-
-/// Scalar reference for [`evaluate_fleet_adaptive_batched`]: one
-/// [`crate::estimator::AdaptiveController`] per vehicle, run serially
-/// with the same per-vehicle counter RNG streams.
-///
-/// # Errors
-///
-/// [`Error::EmptyTrace`] if the fleet is empty or any vehicle's trace
-/// is.
-pub fn evaluate_fleet_adaptive(
-    vehicle_stops: &[Vec<f64>],
-    break_even: BreakEven,
-    cfg: &crate::batch::BatchConfig,
-) -> Result<Vec<crate::estimator::AdaptiveOutcome>, Error> {
-    crate::batch::run_fleet_scalar(vehicle_stops, break_even, cfg)
-}
-
 /// Builds the per-strategy summaries from per-vehicle results.
 fn summarize(strategies: &[Strategy], vehicles: Vec<VehicleResult>) -> FleetReport {
     let summaries = strategies
@@ -513,9 +469,9 @@ mod tests {
     fn adaptive_batched_matches_scalar_reference() {
         let vehicles = fleet(11, 80, 12);
         let cfg = crate::batch::BatchConfig { window: Some(50), ..Default::default() };
-        let scalar = evaluate_fleet_adaptive(&vehicles, b28(), &cfg).unwrap();
+        let scalar = crate::batch::run_fleet_scalar(&vehicles, b28(), &cfg).unwrap();
         for threads in [1, 2, 8] {
-            let batched = evaluate_fleet_adaptive_batched(&vehicles, b28(), &cfg, threads).unwrap();
+            let batched = crate::batch::run_fleet_batch(&vehicles, b28(), &cfg, threads).unwrap();
             assert_eq!(batched.outcomes, scalar, "threads = {threads}");
         }
     }
