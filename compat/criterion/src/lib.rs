@@ -4,8 +4,9 @@
 //! The workspace builds without network access, so `criterion` is
 //! `[patch.crates-io]`-ed to this implementation of the API subset the
 //! benches use: [`Criterion`], [`black_box`], [`BenchmarkId`], benchmark
-//! groups with `bench_function` / `bench_with_input` / `sample_size`, and
-//! the [`criterion_group!`] / [`criterion_main!`] macros.
+//! groups with `bench_function` / `bench_with_input` / `sample_size` /
+//! `throughput` ([`Throughput::Bytes`] only), and the
+//! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Measurement model: each benchmark is warmed up for ~50 ms, then timed
 //! in batches until ~300 ms of samples accumulate; the median batch
@@ -44,6 +45,13 @@ impl fmt::Display for BenchmarkId {
     }
 }
 
+/// Work done per iteration, reported as a rate next to the time.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Bytes processed per iteration; reported as GiB/s.
+    Bytes(u64),
+}
+
 /// The timing loop handed to each benchmark closure.
 #[derive(Debug)]
 pub struct Bencher {
@@ -79,18 +87,25 @@ impl Bencher {
     }
 }
 
-fn report(label: &str, samples: &mut [f64]) {
+fn report(label: &str, samples: &mut [f64], throughput: Option<Throughput>) {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let median = samples[samples.len() / 2];
     let min = samples[0];
     let max = samples[samples.len() - 1];
-    println!("{label:<56} time: {median:>12.1} ns/iter  ({min:.1} .. {max:.1})");
+    let rate = match throughput {
+        Some(Throughput::Bytes(n)) => {
+            format!("  thrpt: {:.2} GiB/s", n as f64 / median / 1.073_741_824)
+        }
+        None => String::new(),
+    };
+    println!("{label:<56} time: {median:>12.1} ns/iter  ({min:.1} .. {max:.1}){rate}");
 }
 
 /// A named collection of related benchmarks.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
     name: String,
+    throughput: Option<Throughput>,
     _parent: &'a mut Criterion,
 }
 
@@ -105,6 +120,12 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Sets the work per iteration for the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Runs one benchmark in the group.
     pub fn bench_function<ID: fmt::Display, F>(&mut self, id: ID, mut f: F) -> &mut Self
     where
@@ -116,7 +137,7 @@ impl BenchmarkGroup<'_> {
         if bencher.samples.is_empty() {
             println!("{label:<56} time: (no samples)");
         } else {
-            report(&label, &mut bencher.samples);
+            report(&label, &mut bencher.samples, self.throughput);
         }
         self
     }
@@ -145,7 +166,7 @@ pub struct Criterion {}
 impl Criterion {
     /// Opens a named benchmark group.
     pub fn benchmark_group<S: Into<String>>(&mut self, name: S) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { name: name.into(), _parent: self }
+        BenchmarkGroup { name: name.into(), throughput: None, _parent: self }
     }
 
     /// Runs a single ungrouped benchmark.
@@ -158,7 +179,7 @@ impl Criterion {
         if bencher.samples.is_empty() {
             println!("{name:<56} time: (no samples)");
         } else {
-            report(name, &mut bencher.samples);
+            report(name, &mut bencher.samples, None);
         }
         self
     }

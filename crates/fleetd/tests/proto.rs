@@ -237,3 +237,57 @@ fn frame_geometry() {
     let frame = encode_request(&Request::Stats);
     assert_eq!(frame.len(), HEADER_LEN + TRAILER_LEN);
 }
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Golden wire bytes: a fixed `Submit` request and `Decisions` reply
+/// encode to these exact frames, CRC-32 trailer included. A round-trip
+/// test cannot catch a checksum (or codec) change made on both the
+/// writing and the reading side; these constants can.
+#[test]
+fn golden_submit_and_decisions_frames() {
+    let submit = Request::Submit {
+        first_step: 5,
+        rows: vec![vec![0.0, 12.5, 28.0], vec![31.25, 1e-3, 600.0]],
+    };
+    let frame = encode_request(&submit);
+    assert_eq!(
+        hex(&frame),
+        concat!(
+            "464c54440100020040000000", // header: magic, version, kind, payload length
+            "0500000000000000020000000300000000000000000000000000000000002940",
+            "0000000000003c400000000000403f40fca9f1d24d62503f0000000000c08240",
+            "f21221ba", // CRC-32 trailer
+        )
+    );
+    assert_eq!(decode_request(&frame).as_ref(), Ok(&submit));
+
+    let decisions = Reply::Decisions {
+        first_step: 5,
+        steps: 2,
+        lanes: 3,
+        thresholds: vec![28.0, f64::INFINITY, 0.0, 17.5, 28.0, 3.75],
+        vertices: vec![
+            VertexKind::ColdStart,
+            VertexKind::NRand,
+            VertexKind::Toi,
+            VertexKind::BDet,
+            VertexKind::Det,
+            VertexKind::ColdStart,
+        ],
+    };
+    let frame = encode_reply(&decisions);
+    assert_eq!(
+        hex(&frame),
+        concat!(
+            "464c54440100410046000000", // header: magic, version, kind, payload length
+            "050000000000000002000000030000000000000000003c40000000000000f07f",
+            "000000000000000000000000008031400000000000003c400000000000000e40",
+            "000402030100",
+            "de8dd325", // CRC-32 trailer
+        )
+    );
+    assert_eq!(decode_reply(&frame).as_ref(), Ok(&decisions));
+}

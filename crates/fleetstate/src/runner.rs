@@ -310,41 +310,37 @@ impl FleetRunner {
         let steps = rows.len();
         let step0 = self.step;
         let trace_base = self.config.trace_stream_base;
-        if self.shards.len() == 1 {
-            run_shard(&mut self.shards[0], &mut self.risk[0], rows, step0, trace_base, emit, out)?;
-        } else {
-            let results: Vec<Result<(), skirental::Error>> = std::thread::scope(|scope| {
-                let mut rest = out;
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&mut self.risk)
-                    .map(|(shard, risk)| {
-                        // Each contiguous shard owns the contiguous
-                        // lane-major output region of its lanes.
-                        let (mine, remaining) = match rest.take() {
-                            Some((th, vx)) => {
-                                let (th_a, th_b) = th.split_at_mut(shard.lanes() * steps);
-                                let (vx_a, vx_b) = vx.split_at_mut(shard.lanes() * steps);
-                                (Some((th_a, vx_a)), Some((th_b, vx_b)))
-                            }
-                            None => (None, None),
-                        };
-                        rest = remaining;
-                        scope.spawn(move || {
-                            run_shard(shard, risk, rows, step0, trace_base, emit, mine)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
+        // Shard 0 runs on the calling thread, the others on scoped
+        // threads; errors surface in shard order.
+        std::thread::scope(|scope| {
+            let mut rest = out;
+            let mut jobs = self.shards.iter_mut().zip(&mut self.risk).map(|(shard, risk)| {
+                // Each contiguous shard owns the contiguous lane-major
+                // output region of its lanes.
+                let (mine, remaining) = match rest.take() {
+                    Some((th, vx)) => {
+                        let (th_a, th_b) = th.split_at_mut(shard.lanes() * steps);
+                        let (vx_a, vx_b) = vx.split_at_mut(shard.lanes() * steps);
+                        (Some((th_a, vx_a)), Some((th_b, vx_b)))
+                    }
+                    None => (None, None),
+                };
+                rest = remaining;
+                (shard, risk, mine)
             });
-            for r in results {
-                r?;
-            }
-        }
+            let first = jobs.next();
+            let handles: Vec<_> = jobs
+                .map(|(shard, risk, mine)| {
+                    scope.spawn(move || run_shard(shard, risk, rows, step0, trace_base, emit, mine))
+                })
+                .collect();
+            let first = first.map_or(Ok(()), |(shard, risk, mine)| {
+                run_shard(shard, risk, rows, step0, trace_base, emit, mine)
+            });
+            handles.into_iter().fold(first, |result, h| {
+                result.and(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            })
+        })?;
         self.step += rows.len() as u64;
         Ok(())
     }

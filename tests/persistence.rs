@@ -13,9 +13,10 @@
 //! Property-based where the state space is wide; deterministic for the
 //! exhaustive cut sweep.
 
+use automotive_idling::fleetstate::format::frame_offsets;
 use automotive_idling::fleetstate::{
     decode_fleet_state, decode_ladder_state, encode_fleet_state, encode_ladder_state, FleetConfig,
-    FleetRunner, PersistentFleet, JOURNAL_FILE,
+    FleetRunner, PersistentFleet, JOURNAL_FILE, SNAPSHOT_FILE,
 };
 use automotive_idling::skirental::batch::CounterRng;
 use automotive_idling::skirental::degraded::{DegradationConfig, DegradedController};
@@ -307,5 +308,53 @@ fn torn_journal_tail_resumes_at_last_complete_step() {
         encode_fleet_state(&resumed.runner().export_state()),
         encode_fleet_state(&whole.export_state())
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Golden on-disk bytes: a fixed two-step run writes exactly this
+/// journal `Observations` frame and a snapshot frame with exactly this
+/// length and CRC-32 trailer. Recovery round-trips cannot catch a
+/// checksum (or codec) change made on both the writing and the reading
+/// side; these constants can.
+#[test]
+fn golden_journal_and_snapshot_frames() {
+    let config = FleetConfig {
+        lanes: 3,
+        break_even: 28.0,
+        window: Some(4),
+        min_history: 1,
+        seed: 20_140_601,
+        trace_stream_base: 0,
+    };
+    let dir = std::env::temp_dir()
+        .join("persistence-test")
+        .join(format!("golden-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut fleet = PersistentFleet::create(&dir, &config, 1, u64::MAX).unwrap();
+    fleet.run_block(&[vec![0.0, 12.5, 28.0], vec![31.25, 1e-3, 600.0]], false).unwrap();
+    fleet.snapshot().unwrap();
+    drop(fleet);
+
+    let frame_at = |bytes: &[u8], k: usize| {
+        let (offset, len) = frame_offsets(bytes)[k];
+        bytes[offset as usize..(offset + len) as usize].to_vec()
+    };
+    // Frame 0 is the journal header; frame 2 is step 1.
+    let journal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    assert_eq!(
+        hex(&frame_at(&journal, 2)),
+        concat!(
+            "464c53540100030020000000", // header: magic, version, kind, payload length
+            "01000000000000000000000000403f40fca9f1d24d62503f0000000000c08240",
+            "a072c50f", // CRC-32 trailer
+        )
+    );
+    let snapshots = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    let snapshot = frame_at(&snapshots, 0);
+    assert_eq!((snapshot.len(), hex(&snapshot[snapshot.len() - 4..]).as_str()), (336, "5518f748"));
     std::fs::remove_dir_all(&dir).ok();
 }
