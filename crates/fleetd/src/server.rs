@@ -48,7 +48,7 @@
 
 use crate::proto::{self, Reply, Request, StatsInfo};
 use crate::telemetry::Telemetry;
-use fleetstate::{FleetConfig, PersistentFleet, RecoveryOutcome, JOURNAL_FILE};
+use fleetstate::{FleetConfig, PersistError, PersistentFleet, RecoveryOutcome, JOURNAL_FILE};
 use obsv::{TraceEvent, TraceRecord};
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -796,10 +796,17 @@ fn engine_loop(
                             }
                         }
                         Err(e) => {
-                            // A persist failure voids the write-ahead
-                            // guarantee: flag the journal unhealthy so
-                            // /healthz flips to unready.
-                            shared.journal_ok.store(false, Ordering::Relaxed);
+                            // A rejected block (bad width or stop) wrote
+                            // nothing. Any other failure voids the
+                            // write-ahead guarantee: flag the journal
+                            // unhealthy so /healthz flips to unready.
+                            let rejected = matches!(
+                                e,
+                                PersistError::BadPayload { .. } | PersistError::Engine(_)
+                            );
+                            if !rejected {
+                                shared.journal_ok.store(false, Ordering::Relaxed);
+                            }
                             Reply::Error { message: format!("client {client}: {e}") }
                         }
                     }

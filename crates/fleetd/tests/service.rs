@@ -5,7 +5,7 @@
 //! Tests share the process-global tracer, so every test takes `LOCK`
 //! and trace-sensitive ones reset the tracer before use.
 
-use fleetd::client::{Client, SessionRecorder};
+use fleetd::client::{Client, ClientError, SessionRecorder};
 use fleetd::proto::Reply;
 use fleetd::server::{serve, ServeOptions};
 use fleetstate::{FleetConfig, FleetRunner};
@@ -104,6 +104,47 @@ fn handshake_submit_and_state_match_reference_engine() {
     assert!(err.to_string().contains("step mismatch"), "{err}");
     // ... but u64::MAX skips the check.
     assert!(matches!(client.submit(u64::MAX, &rows(8, 1)), Ok(Reply::Decisions { .. })));
+
+    started.handle.stop();
+}
+
+#[test]
+fn bad_stop_submit_is_an_error_and_the_next_submit_is_answered() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, socket) = scratch("bad-stop");
+    let started = serve(&options(&dir, false), &socket, None).unwrap();
+    let mut client = Client::connect_unix(&socket).unwrap();
+    client.hello("it-bad-stop").unwrap();
+
+    let mut reference = FleetRunner::new(&config(), 2).unwrap();
+    let first = rows(0, 2);
+    reference.run_block(&first, false).unwrap();
+    client.submit(0, &first).unwrap();
+
+    // A NaN anywhere in the block is answered with `Reply::Error`.
+    let mut bad = rows(2, 2);
+    bad[1][3] = f64::NAN;
+    let err = client.submit(2, &bad).unwrap_err();
+    assert!(matches!(err, ClientError::Daemon(_)), "{err}");
+
+    // The daemon is still at step 2, still healthy, and answers the next
+    // block at that step with the reference engine's decisions.
+    let next = rows(2, 3);
+    let expected = reference.run_block_decided(&next, false).unwrap();
+    let Reply::Decisions { first_step, thresholds, vertices, .. } =
+        client.submit(2, &next).unwrap()
+    else {
+        panic!("wanted Decisions");
+    };
+    assert_eq!(first_step, 2);
+    assert_eq!(thresholds, expected.thresholds());
+    assert_eq!(vertices, expected.vertices());
+    let scrape = obsv::telemetry::parse(&client.telemetry().unwrap()).unwrap();
+    assert_eq!(scrape.gauge("fleetd_journal_writable"), Some(1.0));
+    assert_eq!(
+        client.export_state().unwrap(),
+        fleetstate::encode_fleet_state(&reference.export_state())
+    );
 
     started.handle.stop();
 }

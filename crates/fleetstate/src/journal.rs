@@ -36,6 +36,33 @@ pub struct AppendTiming {
     pub sync_s: f64,
 }
 
+/// Checks one observation row: `lanes` wide, every stop finite and
+/// `>= 0`.
+///
+/// # Errors
+///
+/// [`PersistError::BadPayload`] on a row of the wrong width;
+/// [`PersistError::Engine`] carrying [`skirental::Error::InvalidStop`]
+/// (the first offender) on a negative or non-finite stop.
+pub(crate) fn check_row(row: &[f64], lanes: usize) -> Result<(), PersistError> {
+    if row.len() != lanes {
+        return Err(PersistError::BadPayload {
+            offset: 0,
+            what: "observation row width does not match the fleet",
+        });
+    }
+    match row.iter().find(|y| !(y.is_finite() && **y >= 0.0)) {
+        Some(y) => Err(skirental::Error::InvalidStop { bits: y.to_bits() }.into()),
+        None => Ok(()),
+    }
+}
+
+/// [`check_row`] over a whole block, row by row: the first bad row
+/// decides the error.
+pub(crate) fn check_rows(rows: &[Vec<f64>], lanes: usize) -> Result<(), PersistError> {
+    rows.iter().try_for_each(|row| check_row(row, lanes))
+}
+
 /// An open journal being appended to.
 #[derive(Debug)]
 pub struct Journal {
@@ -113,7 +140,10 @@ impl Journal {
     ///
     /// [`PersistError::NonContiguousStep`] if `step` is not the next
     /// expected step, [`PersistError::BadPayload`] if the row width does
-    /// not match the fleet, or [`PersistError::Io`] on write failure.
+    /// not match the fleet, [`PersistError::Engine`] on a negative or
+    /// non-finite stop (the engine would reject it, so a journaled one
+    /// could never be replayed), or [`PersistError::Io`] on write
+    /// failure. Nothing is written on a validation failure.
     pub fn append_step(&mut self, step: u64, row: &[f64]) -> Result<(), PersistError> {
         if step != self.next_step {
             return Err(PersistError::NonContiguousStep {
@@ -122,12 +152,7 @@ impl Journal {
                 found: step,
             });
         }
-        if row.len() != self.config.lanes {
-            return Err(PersistError::BadPayload {
-                offset: 0,
-                what: "observation row width does not match the fleet",
-            });
-        }
+        check_row(row, self.config.lanes)?;
         let mut payload = Vec::with_capacity(8 + row.len() * 8);
         payload.extend_from_slice(&step.to_le_bytes());
         for &y in row {
@@ -176,12 +201,7 @@ impl Journal {
                 found: first_step,
             });
         }
-        if rows.iter().any(|row| row.len() != self.config.lanes) {
-            return Err(PersistError::BadPayload {
-                offset: 0,
-                what: "observation row width does not match the fleet",
-            });
-        }
+        check_rows(rows, self.config.lanes)?;
         if rows.is_empty() {
             return Ok(AppendTiming::default());
         }

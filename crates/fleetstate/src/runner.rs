@@ -26,13 +26,13 @@ use skirental::batch::{BatchConfig, CounterRng, ShardEngine, ShardPlan, VertexKi
 use skirental::BreakEven;
 
 use crate::error::{io_err, PersistError};
-use crate::journal::{AppendTiming, Journal};
+use crate::journal::{check_rows, AppendTiming, Journal};
 use crate::recovery::{recover_fleet, RecoveryOutcome};
 use crate::snapshot::append_snapshot;
 use crate::state::{FleetConfig, FleetState, LaneSnapshot};
 
 /// One shard's per-lane realized-CR sketches, cached from the global
-/// [`obsv::risk`] hub so the hot loop pays two relaxed atomic adds per
+/// [`obsv::risk`] hub so the hot loop pays one relaxed atomic add per
 /// stop and no lock. Refreshed when the hub's epoch moves (a `reset`
 /// invalidates every cached handle).
 struct RiskHandles {
@@ -258,7 +258,8 @@ impl FleetRunner {
     /// [`PersistError::BadPayload`] on a row of the wrong width or
     /// [`PersistError::Engine`] on a negative/non-finite stop.
     pub fn run_block(&mut self, rows: &[Vec<f64>], emit: bool) -> Result<(), PersistError> {
-        self.run_block_inner(rows, emit, None)
+        check_rows(rows, self.config.lanes)?;
+        self.run_checked_block(rows, emit, None)
     }
 
     /// [`FleetRunner::run_block`] that additionally captures every
@@ -277,33 +278,31 @@ impl FleetRunner {
         rows: &[Vec<f64>],
         emit: bool,
     ) -> Result<BlockDecisions, PersistError> {
+        check_rows(rows, self.config.lanes)?;
+        self.run_checked_block_decided(rows, emit)
+    }
+
+    /// [`FleetRunner::run_block_decided`] for a block that already passed
+    /// [`check_rows`] (the journal checks it before writing).
+    fn run_checked_block_decided(
+        &mut self,
+        rows: &[Vec<f64>],
+        emit: bool,
+    ) -> Result<BlockDecisions, PersistError> {
         let steps = rows.len();
         let lanes = self.config.lanes;
         let mut thresholds = vec![0.0f64; lanes * steps];
         let mut vertices = vec![VertexKind::ColdStart; lanes * steps];
-        self.run_block_inner(rows, emit, Some((&mut thresholds, &mut vertices)))?;
+        self.run_checked_block(rows, emit, Some((&mut thresholds, &mut vertices)))?;
         Ok(BlockDecisions { steps, lanes, thresholds, vertices })
     }
 
-    fn run_block_inner(
+    fn run_checked_block(
         &mut self,
         rows: &[Vec<f64>],
         emit: bool,
         out: Option<(&mut [f64], &mut [VertexKind])>,
     ) -> Result<(), PersistError> {
-        for row in rows {
-            if row.len() != self.config.lanes {
-                return Err(PersistError::BadPayload {
-                    offset: 0,
-                    what: "observation row width does not match the fleet",
-                });
-            }
-            for &y in row {
-                if !(y.is_finite() && y >= 0.0) {
-                    return Err(skirental::Error::InvalidStop { bits: y.to_bits() }.into());
-                }
-            }
-        }
         if rows.is_empty() {
             return Ok(());
         }
@@ -515,10 +514,16 @@ impl PersistentFleet {
     /// loses nothing. Crossing a `snapshot_every` boundary triggers a
     /// snapshot after the block.
     ///
+    /// The journal checks the whole block (width, finite and `>= 0`
+    /// stops) before it writes a byte, so a rejected block leaves the
+    /// journal and the runner untouched and the next block goes through.
+    ///
     /// # Errors
     ///
-    /// Journal append errors ([`PersistError::Io`] among them) or the
-    /// [`FleetRunner::run_block`] errors.
+    /// The [`FleetRunner::run_block`] validation errors
+    /// ([`PersistError::BadPayload`], [`PersistError::Engine`]) with
+    /// nothing written, or journal append errors ([`PersistError::Io`]
+    /// among them).
     pub fn run_block(&mut self, rows: &[Vec<f64>], emit: bool) -> Result<(), PersistError> {
         self.run_block_decided(rows, emit).map(|_| ())
     }
@@ -556,7 +561,7 @@ impl PersistentFleet {
         let AppendTiming { write_s, sync_s } = self.journal.append_block_timed(before, rows)?;
         crate::obs::metrics().journal_frames.add(rows.len() as u64);
         let decide_start = std::time::Instant::now();
-        let decisions = self.runner.run_block_decided(rows, emit)?;
+        let decisions = self.runner.run_checked_block_decided(rows, emit)?;
         let decide_s = decide_start.elapsed().as_secs_f64();
         let after = self.runner.step();
         let mut snapshotted = false;

@@ -7,9 +7,12 @@
 //! discipline as [`crate::LatencyHisto`]:
 //!
 //! * a [`CrSketch`] is a log-bucketed histogram over atomic `u64`
-//!   buckets — recording is two relaxed `fetch_add`s, merging is
-//!   integer addition (exactly associative and commutative), and the
-//!   resulting counts are invariant to worker-thread count;
+//!   buckets — recording finds the bucket from the value's f64
+//!   exponent and at most eight compares, then does one relaxed
+//!   `fetch_add` (the total is the bucket sum, not a second counter);
+//!   merging is integer addition (exactly associative and
+//!   commutative), and the resulting counts are invariant to
+//!   worker-thread count;
 //! * every query ([`SketchDigest::quantile`], [`SketchDigest::cvar`],
 //!   [`SketchDigest::exceed_count`]) runs on an immutable
 //!   [`SketchDigest`], so a live scrape and an offline recomputation
@@ -80,9 +83,27 @@ pub fn cr_bounds() -> &'static [f64] {
 /// `bounds[i-1] < v <= bounds[i]` (first bucket `v <= 1`, which with
 /// `CR >= 1` means exactly `CR = 1`); values above the last bound —
 /// including `+∞` — land in the overflow bucket `BOUND_COUNT`.
+///
+/// Equal to `cr_bounds().partition_point(|&b| cr > b)` for every input
+/// (NaN included, which lands in bucket 0), without the search: for
+/// `1 < v <= 2^12` the f64 exponent `e` gives the octave, and `v`'s
+/// mantissa `m = v / 2^e` — exact, a power-of-two rescale — is compared
+/// against the eight literal multipliers, since `v > 2^e·STEP[k]` iff
+/// `m > STEP[k]`.
 #[must_use]
+#[inline]
 pub fn bucket_index(cr: f64) -> usize {
-    cr_bounds().partition_point(|&b| cr > b)
+    if cr.is_nan() || cr <= 1.0 {
+        return 0;
+    }
+    if cr > 4096.0 {
+        return BOUND_COUNT;
+    }
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = cr.to_bits();
+    let octave = (bits >> 52) as usize - 1023;
+    let m = f64::from_bits((bits & MANTISSA) | (1023 << 52));
+    8 * octave + OCTAVE_STEPS.iter().map(|&step| usize::from(m > step)).sum::<usize>()
 }
 
 /// The value a bucket reports for quantile/CVaR queries: its upper
@@ -109,23 +130,20 @@ fn ratio(online: f64, offline: f64) -> f64 {
 
 /// A log-bucketed, exactly-mergeable sketch of realized-CR samples.
 ///
-/// Recording is lock-free (two relaxed `fetch_add`s); merging adds
-/// integer buckets, so it is associative, commutative, and invariant to
-/// how samples were sharded over threads.
+/// Recording is lock-free (one relaxed `fetch_add`); the sample count
+/// is the bucket sum. Merging adds integer buckets, so it is
+/// associative, commutative, and invariant to how samples were sharded
+/// over threads.
 #[derive(Debug)]
 pub struct CrSketch {
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
 }
 
 impl CrSketch {
     /// An empty sketch.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            buckets: (0..=BOUND_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-        }
+        Self { buckets: (0..=BOUND_COUNT).map(|_| AtomicU64::new(0)).collect() }
     }
 
     /// Records one realized CR value. NaN is ignored (it is a caller
@@ -137,7 +155,6 @@ impl CrSketch {
             return;
         }
         self.buckets[bucket_index(cr)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the CR of one stop from its online/offline costs, using
@@ -147,10 +164,10 @@ impl CrSketch {
         self.record_cr(ratio(online_s, offline_s));
     }
 
-    /// Samples recorded so far.
+    /// Samples recorded so far: the sum of the buckets.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Adds every bucket of `other` into `self`. Integer addition:
@@ -163,14 +180,13 @@ impl CrSketch {
                 mine.fetch_add(v, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// An immutable copy of the sketch's state, ready for queries and
     /// serialization.
     #[must_use]
     pub fn digest(&self) -> SketchDigest {
-        let buckets = self
+        let buckets: Vec<(u32, u64)> = self
             .buckets
             .iter()
             .enumerate()
@@ -179,7 +195,7 @@ impl CrSketch {
                 (v > 0).then_some((i as u32, v))
             })
             .collect();
-        SketchDigest { count: self.count(), buckets }
+        SketchDigest { count: buckets.iter().map(|&(_, c)| c).sum(), buckets }
     }
 }
 
@@ -473,18 +489,16 @@ impl RiskHub {
     #[must_use]
     pub fn fleet_digest(&self) -> SketchDigest {
         let mut counts = [0u64; BOUND_COUNT + 1];
-        let mut total = 0u64;
         for shard in &self.shards {
             let sketches = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for sketch in sketches.values() {
                 for (i, b) in sketch.buckets.iter().enumerate() {
                     counts[i] += b.load(Ordering::Relaxed);
                 }
-                total += sketch.count();
             }
         }
         SketchDigest {
-            count: total,
+            count: counts.iter().sum(),
             buckets: counts
                 .iter()
                 .enumerate()

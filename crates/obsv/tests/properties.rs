@@ -2,7 +2,7 @@
 //! perf gate and the report pipeline rely on — and for the decision-trace
 //! JSONL encoding, which `trace_diff` requires to be byte-canonical.
 
-use obsv::risk::{bucket_bound, bucket_index, CrSketch, TAU_LADDER};
+use obsv::risk::{bucket_bound, bucket_index, cr_bounds, CrSketch, BOUND_COUNT, TAU_LADDER};
 use obsv::{
     AlarmRecord, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Monitor, MonitorConfig,
     MonitorReport, PageHinkley, RunReport, SketchDigest, StreamSummary, TraceEvent, TraceRecord,
@@ -444,4 +444,89 @@ proptest! {
         let back = RunReport::from_json(&json).expect("own encoding re-parses");
         prop_assert_eq!(back.to_json(), json);
     }
+}
+
+/// The bucket search `bucket_index` replaces, kept here as its oracle.
+fn bucket_index_reference(cr: f64) -> usize {
+    cr_bounds().partition_point(|&b| cr > b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// Arbitrary f64 bit patterns: every sign, exponent and NaN payload.
+    #[test]
+    fn bucket_index_equals_partition_point_on_any_bits(bits in 0u64..u64::MAX) {
+        let v = f64::from_bits(bits);
+        prop_assert_eq!(bucket_index(v), bucket_index_reference(v));
+    }
+
+    /// Every f64 in the bounded range `[1, 4097]`, drawn uniformly by bit
+    /// pattern so each octave gets its share.
+    #[test]
+    fn bucket_index_equals_partition_point_in_range(
+        bits in 1.0f64.to_bits()..4097.0f64.to_bits(),
+    ) {
+        let v = f64::from_bits(bits);
+        prop_assert_eq!(bucket_index(v), bucket_index_reference(v));
+    }
+}
+
+#[test]
+fn bucket_index_edges_equal_partition_point() {
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE / 2.0,
+        f64::MIN_POSITIVE,
+        1.0,
+        4096.0,
+        4097.0,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.5,
+        f64::NAN,
+    ];
+    for &b in cr_bounds() {
+        edges.extend([f64::from_bits(b.to_bits() - 1), b, f64::from_bits(b.to_bits() + 1)]);
+    }
+    for v in edges {
+        assert_eq!(bucket_index(v), bucket_index_reference(v), "v = {v:e} ({:#x})", v.to_bits());
+    }
+    assert_eq!(bucket_index(1.0), 0);
+    assert_eq!(bucket_index(4096.0), BOUND_COUNT - 1);
+    assert_eq!(bucket_index(4097.0), BOUND_COUNT);
+    assert_eq!(bucket_index(f64::INFINITY), BOUND_COUNT);
+    for (i, &b) in cr_bounds().iter().enumerate() {
+        assert_eq!(bucket_index(b), i, "bound {i} lands in its own bucket");
+    }
+    for tau in TAU_LADDER {
+        assert_eq!(bucket_bound(bucket_index(tau)).to_bits(), tau.to_bits(), "rung {tau}");
+    }
+}
+
+#[test]
+fn concurrent_records_count_as_the_bucket_sum_and_nan_is_ignored() {
+    const PER_THREAD: u64 = 20_000;
+    let sketch = CrSketch::new();
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let sketch = &sketch;
+            scope.spawn(move || {
+                for i in 0..PER_THREAD {
+                    // CRs from 1 to past the overflow bound, plus NaNs
+                    // that must leave no trace.
+                    sketch.record_cr(1.0 + ((i * 4 + t) % 5000) as f64);
+                    sketch.record_cr(f64::NAN);
+                }
+            });
+        }
+    });
+    let digest = sketch.digest();
+    let bucket_sum: u64 = digest.buckets.iter().map(|&(_, c)| c).sum();
+    assert_eq!(sketch.count(), 4 * PER_THREAD);
+    assert_eq!(digest.count, bucket_sum);
+    assert_eq!(bucket_sum, 4 * PER_THREAD);
 }

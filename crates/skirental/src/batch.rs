@@ -261,16 +261,18 @@ fn decide_kernel(
     key: u64,
     ctr: u64,
 ) -> LaneDecision {
-    // Peek the next draw unconditionally — pure function of (key, ctr),
-    // committed below only if the selected vertex consumes randomness.
-    let bits = CounterRng::value_at(key, ctr);
-    // `stopmodel::uniform01`: top 53 bits of one u64 draw.
-    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    // `NRand::sample_threshold`: x = B·ln(1 + u(e−1)).
-    let nrand_x = b * (1.0 + u * (E - 1.0)).ln();
+    // The draw at `ctr` is a pure function of (key, ctr), so it is
+    // computed only on the arms that consume it (cold start, N-Rand);
+    // the deterministic vertices never pay for the hash or the `ln`.
+    let nrand_x = || {
+        // `stopmodel::uniform01`: top 53 bits of one u64 draw.
+        let u = (CounterRng::value_at(key, ctr) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // `NRand::sample_threshold`: x = B·ln(1 + u(e−1)).
+        b * (1.0 + u * (E - 1.0)).ln()
+    };
 
     if (n as usize) < min_history {
-        return LaneDecision { threshold: nrand_x, vertex: VertexKind::ColdStart, ctr: ctr + 1 };
+        return LaneDecision { threshold: nrand_x(), vertex: VertexKind::ColdStart, ctr: ctr + 1 };
     }
 
     // `MomentEstimator::stats`: plug-in moments with the window-residue
@@ -310,14 +312,14 @@ fn decide_kernel(
         vertex = VertexKind::NRand;
     }
 
-    // Sample: only N-Rand consumes the peeked draw (`ProposedPolicy`
-    // delegates to the vertex policy, and Det/Toi/BDet ignore the RNG).
+    // Sample: only N-Rand draws (`ProposedPolicy` delegates to the
+    // vertex policy, and Det/Toi/BDet ignore the RNG).
     match vertex {
         VertexKind::Det => LaneDecision { threshold: b, vertex, ctr },
         VertexKind::Toi => LaneDecision { threshold: 0.0, vertex, ctr },
         VertexKind::BDet => LaneDecision { threshold: b_star.min(b), vertex, ctr },
         VertexKind::NRand | VertexKind::ColdStart => {
-            LaneDecision { threshold: nrand_x, vertex, ctr: ctr + 1 }
+            LaneDecision { threshold: nrand_x(), vertex, ctr: ctr + 1 }
         }
     }
 }
@@ -1218,7 +1220,7 @@ pub fn run_fleet_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::MomentEstimator;
+    use crate::estimator::{AdaptiveController, MomentEstimator};
 
     fn b28() -> BreakEven {
         BreakEven::new(28.0).unwrap()
@@ -1378,6 +1380,84 @@ mod tests {
         assert_eq!(v, VertexKind::Toi);
         assert_eq!(x, 0.0);
         assert_eq!(rng.state().1, 0);
+    }
+
+    /// One lane's history per vertex (B = 28 s, min history 3): empty
+    /// (cold start), all short, all long, one long in ten with tiny
+    /// shorts (b-DET's regime), and two long in ten with μ̂ ≈ 0.1·B.
+    fn vertex_histories() -> [(VertexKind, Vec<f64>); 5] {
+        let mixed = |long: usize, short: f64| {
+            let mut h = vec![100.0; long];
+            h.extend(std::iter::repeat(short).take(10 - long));
+            h
+        };
+        [
+            (VertexKind::ColdStart, Vec::new()),
+            (VertexKind::Det, vec![5.0; 4]),
+            (VertexKind::Toi, vec![100.0; 4]),
+            (VertexKind::BDet, mixed(1, 0.05)),
+            (VertexKind::NRand, mixed(2, 3.5)),
+        ]
+    }
+
+    #[test]
+    fn only_drawing_vertices_advance_the_counter() {
+        let histories = vertex_histories();
+        let mut store = BatchStore::new(b28(), histories.len()).min_history(3);
+        for (lane, (_, h)) in histories.iter().enumerate() {
+            for &y in h {
+                store.observe(lane, y);
+            }
+        }
+        let start: Vec<CounterRng> =
+            (0..histories.len()).map(|i| CounterRng::from_state(0xABCD + i as u64, 40)).collect();
+        let mut rngs = start.clone();
+        let mut thresholds = vec![0.0; histories.len()];
+        let mut vertices = vec![VertexKind::ColdStart; histories.len()];
+        store.decide_batch(&mut rngs, &mut thresholds, &mut vertices).unwrap();
+        for (lane, (want, _)) in histories.iter().enumerate() {
+            let draws = u64::from(matches!(want, VertexKind::ColdStart | VertexKind::NRand));
+            assert_eq!(vertices[lane], *want, "lane {lane}");
+            assert_eq!(rngs[lane].state().1, start[lane].state().1 + draws, "{want:?}");
+            // The straggler path agrees on threshold, vertex and counter.
+            let mut rng = start[lane];
+            let (x, v) = store.decide_lane(lane, &mut rng);
+            assert_eq!((x.to_bits(), v), (thresholds[lane].to_bits(), vertices[lane]));
+            assert_eq!(rng.state(), rngs[lane].state());
+        }
+        assert_eq!(thresholds[1], 28.0);
+        assert_eq!(thresholds[2], 0.0);
+    }
+
+    #[test]
+    fn n_rand_after_a_toi_run_draws_what_the_scalar_controller_draws() {
+        // Cold start, a run of TOI on all-long stops, then short stops
+        // walk the window into N-Rand: every threshold and RNG position
+        // must match the scalar controller in lockstep.
+        let mut stops = vec![100.0; 3 + 12];
+        stops.extend([3.5; 6]);
+        let mut ctl = AdaptiveController::with_window(b28(), 5).min_history(3);
+        let mut store = BatchStore::with_window(b28(), 1, 5).min_history(3);
+        let mut scalar_rng = CounterRng::for_stream(9, 0);
+        let mut batch_rng = CounterRng::for_stream(9, 0);
+        let mut seen = Vec::new();
+        for &y in &stops {
+            let xs = ctl.decide(&mut scalar_rng);
+            let (xb, v) = store.decide_lane(0, &mut batch_rng);
+            assert_eq!(xs.to_bits(), xb.to_bits(), "{v:?} after {seen:?}");
+            assert_eq!(scalar_rng.state(), batch_rng.state());
+            seen.push(v);
+            ctl.observe(y);
+            store.observe(0, y);
+        }
+        let first_nrand = seen.iter().position(|&v| v == VertexKind::NRand).unwrap();
+        assert!(seen[3..15].iter().all(|&v| v == VertexKind::Toi), "{seen:?}");
+        assert!(first_nrand > 15, "{seen:?}");
+        // Three cold-start draws, none since, until N-Rand's own.
+        assert_eq!(
+            batch_rng.state().1,
+            3 + seen[15..].iter().filter(|&&v| v == VertexKind::NRand).count() as u64
+        );
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   byte-for-byte and the uninterrupted final state bit-for-bit.
 //! * Decoders never panic on arbitrary bytes: every outcome is `Ok` or
 //!   a typed `PersistError`.
+//! * A block with a bad stop or width is rejected before the journal
+//!   writes a byte: the fleet keeps going and recovers as if the block
+//!   had never been sent.
 //!
 //! Property-based where the state space is wide; deterministic for the
 //! exhaustive cut sweep.
@@ -16,7 +19,7 @@
 use automotive_idling::fleetstate::format::frame_offsets;
 use automotive_idling::fleetstate::{
     decode_fleet_state, decode_ladder_state, encode_fleet_state, encode_ladder_state, FleetConfig,
-    FleetRunner, PersistentFleet, JOURNAL_FILE, SNAPSHOT_FILE,
+    FleetRunner, Journal, PersistError, PersistentFleet, JOURNAL_FILE, SNAPSHOT_FILE,
 };
 use automotive_idling::skirental::batch::CounterRng;
 use automotive_idling::skirental::degraded::{DegradationConfig, DegradedController};
@@ -306,6 +309,74 @@ fn torn_journal_tail_resumes_at_last_complete_step() {
     whole.run_block(&workload, false).unwrap();
     assert_eq!(
         encode_fleet_state(&resumed.runner().export_state()),
+        encode_fleet_state(&whole.export_state())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bad_stop_block_is_rejected_before_the_journal_and_the_fleet_recovers() {
+    const LANES: usize = 4;
+    let config = FleetConfig {
+        lanes: LANES,
+        break_even: 28.0,
+        window: Some(6),
+        min_history: 2,
+        seed: 11,
+        trace_stream_base: 0,
+    };
+    let workload = rows(LANES, 12, 5);
+    let dir = std::env::temp_dir()
+        .join("persistence-test")
+        .join(format!("bad-stop-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let journal_path = dir.join(JOURNAL_FILE);
+
+    let mut fleet = PersistentFleet::create(&dir, &config, 2, 0).unwrap();
+    fleet.run_block(&workload[..1], false).unwrap();
+    let journal_before = std::fs::read(&journal_path).unwrap();
+    let state_before = encode_fleet_state(&fleet.runner().export_state());
+
+    // A negative stop, a NaN behind a good row, and a short row: each is
+    // a typed error, and neither the journal nor the runner moves.
+    let negative = vec![vec![1.0, -2.0, 3.0, 4.0]];
+    let late_nan = vec![workload[1].clone(), vec![1.0, 2.0, f64::NAN, 4.0]];
+    let short = vec![vec![1.0, 2.0, 3.0]];
+    for bad in [&negative, &late_nan] {
+        let err = fleet.run_block_decided_timed(bad, false).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PersistError::Engine(automotive_idling::skirental::Error::InvalidStop { .. })
+            ),
+            "{err:?}"
+        );
+    }
+    let err = fleet.run_block_decided_timed(&short, false).unwrap_err();
+    assert!(matches!(err, PersistError::BadPayload { .. }), "{err:?}");
+    assert_eq!(std::fs::read(&journal_path).unwrap(), journal_before);
+    assert_eq!(fleet.journal().steps_recorded(), 1);
+    assert_eq!(fleet.runner().step(), 1);
+    assert_eq!(encode_fleet_state(&fleet.runner().export_state()), state_before);
+
+    // The next block goes through, and so does the rest.
+    fleet.run_block(&workload[1..7], false).unwrap();
+    fleet.run_block(&workload[7..], false).unwrap();
+    drop(fleet);
+
+    // The journal itself refuses bad stops, even called directly.
+    let mut journal = Journal::reopen(&journal_path, &config, 12, 13).unwrap();
+    assert!(matches!(journal.append_step(12, &negative[0]), Err(PersistError::Engine(_))));
+    assert!(matches!(journal.append_block(12, &late_nan), Err(PersistError::Engine(_))));
+    assert_eq!(journal.steps_recorded(), 12);
+    drop(journal);
+
+    let (recovered, outcome) = PersistentFleet::recover(&dir, &config, 1, 0).unwrap();
+    assert_eq!(outcome.resumed_step, 12);
+    let mut whole = FleetRunner::new(&config, 2).unwrap();
+    whole.run_block(&workload, false).unwrap();
+    assert_eq!(
+        encode_fleet_state(&recovered.runner().export_state()),
         encode_fleet_state(&whole.export_state())
     );
     std::fs::remove_dir_all(&dir).ok();
