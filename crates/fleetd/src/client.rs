@@ -21,6 +21,12 @@ pub enum ClientError {
     Daemon(String),
     /// The daemon answered with a reply kind the call did not expect.
     Unexpected(&'static str),
+    /// A submitted block whose rows are not all as wide as `rows[0]`;
+    /// nothing was sent.
+    RaggedRows {
+        /// Index of the first row of another width.
+        row: usize,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -30,6 +36,7 @@ impl std::fmt::Display for ClientError {
             Self::Wire(e) => write!(f, "wire: {e}"),
             Self::Daemon(msg) => write!(f, "daemon: {msg}"),
             Self::Unexpected(what) => write!(f, "unexpected reply: {what}"),
+            Self::RaggedRows { row } => write!(f, "ragged block: row {row} differs in width"),
         }
     }
 }
@@ -143,9 +150,16 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport, framing, or daemon error (e.g. step mismatch).
+    /// [`ClientError::RaggedRows`] (before anything is sent) if the rows
+    /// are not all the same width; otherwise transport, framing, or
+    /// daemon error (e.g. step mismatch).
     pub fn submit(&mut self, first_step: u64, rows: &[Vec<f64>]) -> Result<Reply, ClientError> {
-        match self.call(&Request::Submit { first_step, rows: rows.to_vec() })? {
+        let lanes = rows.first().map_or(0, Vec::len);
+        if let Some(row) = rows.iter().position(|r| r.len() != lanes) {
+            return Err(ClientError::RaggedRows { row });
+        }
+        proto::write_frame(&mut self.transport, &proto::encode_submit(first_step, rows))?;
+        match self.read_reply()? {
             reply @ (Reply::Decisions { .. } | Reply::Busy { .. }) => Ok(reply),
             _ => Err(ClientError::Unexpected("submit wants Decisions or Busy")),
         }

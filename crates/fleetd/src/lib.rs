@@ -10,10 +10,10 @@
 //!
 //! The crate splits into three layers:
 //!
-//! * [`proto`] — the wire format: length-prefixed, CRC-framed binary
-//!   messages following the `fleetstate::format` conventions (magic,
-//!   version, kind, length, payload, CRC-32). Decoding arbitrary bytes
-//!   never panics; every failure is a typed, offset-carrying
+//! * [`proto`] — the wire format: CRC-framed binary messages in the
+//!   one frame codec, `fleetstate::format`, under its wire spec (magic
+//!   `FLTD`; snapshots and the journal use `FLST`). Decoding arbitrary
+//!   bytes never panics; every failure is a typed, offset-carrying
 //!   [`proto::WireError`].
 //! * [`server`] — the daemon: a single engine thread owning the
 //!   journaled fleet, a bounded ingest queue with explicit

@@ -1,245 +1,29 @@
-//! The `fleetd` wire protocol: length-prefixed, CRC-framed binary
-//! messages over a byte stream.
+//! The `fleetd` wire protocol: CRC-framed binary messages over a byte
+//! stream.
 //!
-//! Every message is one **frame**, mirroring the
-//! [`fleetstate::format`] container conventions with
-//! its own magic so the two can never be confused:
+//! Every message is one frame of the [`fleetstate::format`] codec under
+//! its [`WIRE`] spec: the same 12-byte header, payload and CRC-32
+//! trailer that snapshots and the journal use, with magic `FLTD` where
+//! they have `FLST`, so the two can never be confused. The kind byte is
+//! the message kind (see [`Request`] / [`Reply`]). Payloads use the
+//! codec's `put_*` writers and bounds-checked reader, so floats travel
+//! as raw IEEE-754 bits.
 //!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  "FLTD"
-//! 4       2     protocol version (little-endian u16, currently 1)
-//! 6       1     message kind (see [`Request`] / [`Reply`] kind bytes)
-//! 7       1     reserved (zero)
-//! 8       4     payload length (little-endian u32)
-//! 12      n     payload
-//! 12+n    4     CRC-32 (IEEE) over bytes [0, 12+n)
-//! ```
-//!
-//! All integers are little-endian; floats are IEEE-754 bit patterns.
 //! Request kinds live in `[1, 63]`, reply kinds in `[64, 127]`, so a
 //! stray reply can never parse as a request. The decoder is total:
 //! arbitrary bytes produce a typed, offset-carrying [`WireError`] —
-//! never a panic, never an unbounded allocation (`payload length` is
-//! capped at [`MAX_PAYLOAD`] *before* any buffer is sized).
+//! never a panic, never an unbounded allocation (the payload length is
+//! capped at [`WIRE`]'s `max_payload` *before* any buffer is sized).
 
+use fleetstate::format::{put_f64, put_string, put_u32, put_u64, Reader, WIRE};
+pub use fleetstate::format::{FrameError as WireError, HEADER_LEN, TRAILER_LEN};
+use fleetstate::state::{decode_config, encode_config};
 use fleetstate::FleetConfig;
-use numeric::crc32;
 use skirental::batch::VertexKind;
 use std::io::{Read, Write};
 
 /// The four magic bytes opening every protocol frame.
-pub const MAGIC: [u8; 4] = *b"FLTD";
-
-/// The current protocol version.
-pub const VERSION: u16 = 1;
-
-/// Bytes of the fixed frame header (before the payload).
-pub const HEADER_LEN: usize = 12;
-
-/// Bytes of the trailing checksum.
-pub const TRAILER_LEN: usize = 4;
-
-/// Hard cap on a frame's payload: a 4096-step block for a 262k-vehicle
-/// fleet still fits, while a crafted length field cannot demand an
-/// absurd allocation.
-pub const MAX_PAYLOAD: u32 = 1 << 26;
-
-/// Cap on string fields (client names, error messages).
-const MAX_STRING: u32 = 1 << 16;
-
-/// Why decoding a frame or payload failed. Every variant names the byte
-/// offset (within the frame buffer handed to the decoder) at which the
-/// problem was detected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ends before the frame does.
-    Truncated {
-        /// Offset where more bytes were needed.
-        offset: u64,
-        /// Bytes the frame claims to need from offset 0.
-        needed: u64,
-        /// Bytes actually available.
-        available: u64,
-    },
-    /// The first four bytes are not the protocol magic.
-    BadMagic {
-        /// Offset of the expected magic (always 0 for a frame decode).
-        offset: u64,
-    },
-    /// A frame from a different protocol version.
-    UnsupportedVersion {
-        /// Offset of the version field.
-        offset: u64,
-        /// The version the header claims.
-        version: u16,
-    },
-    /// The payload length field exceeds [`MAX_PAYLOAD`].
-    OversizedPayload {
-        /// Offset of the length field.
-        offset: u64,
-        /// The length the header claims.
-        len: u32,
-    },
-    /// The frame's CRC-32 does not match its contents.
-    ChecksumMismatch {
-        /// Offset of the stored checksum.
-        offset: u64,
-        /// The checksum stored in the frame.
-        stored: u32,
-        /// The checksum computed over the frame's bytes.
-        computed: u32,
-    },
-    /// A structurally valid frame whose kind byte is not a message this
-    /// decoder accepts.
-    UnknownKind {
-        /// Offset of the kind byte.
-        offset: u64,
-        /// The kind byte the header carries.
-        kind: u8,
-    },
-    /// A CRC-valid frame whose payload does not decode.
-    BadPayload {
-        /// Offset (within the frame) where decoding failed.
-        offset: u64,
-        /// What was wrong.
-        what: &'static str,
-    },
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Truncated { offset, needed, available } => write!(
-                f,
-                "truncated frame at offset {offset}: needs {needed} bytes, {available} available"
-            ),
-            Self::BadMagic { offset } => write!(f, "bad magic at offset {offset}"),
-            Self::UnsupportedVersion { offset, version } => {
-                write!(f, "unsupported protocol version {version} at offset {offset}")
-            }
-            Self::OversizedPayload { offset, len } => {
-                write!(f, "oversized payload length {len} at offset {offset}")
-            }
-            Self::ChecksumMismatch { offset, stored, computed } => write!(
-                f,
-                "checksum mismatch at offset {offset}: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            Self::UnknownKind { offset, kind } => {
-                write!(f, "unknown message kind {kind} at offset {offset}")
-            }
-            Self::BadPayload { offset, what } => {
-                write!(f, "bad payload at offset {offset}: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-// ---------------------------------------------------------------------
-// Payload reader (total: every access bounds-checked).
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn err(&self, what: &'static str) -> WireError {
-        WireError::BadPayload { offset: self.at as u64, what }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.at.checked_add(n).ok_or(self.err("length overflow"))?;
-        if end > self.bytes.len() {
-            return Err(self.err("payload ends early"));
-        }
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()?;
-        if len > MAX_STRING {
-            return Err(self.err("string too long"));
-        }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("string is not UTF-8"))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.at != self.bytes.len() {
-            Err(WireError::BadPayload { offset: self.at as u64, what: "trailing payload bytes" })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = &s.as_bytes()[..s.len().min(MAX_STRING as usize)];
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn put_config(out: &mut Vec<u8>, config: &FleetConfig) {
-    put_u32(out, config.lanes as u32);
-    put_f64(out, config.break_even);
-    put_u32(out, config.window.map_or(0, |w| w as u32));
-    put_u32(out, config.min_history as u32);
-    put_u64(out, config.seed);
-    put_u64(out, config.trace_stream_base);
-}
-
-fn read_config(r: &mut Reader<'_>) -> Result<FleetConfig, WireError> {
-    let lanes = r.u32()? as usize;
-    let break_even = r.f64()?;
-    let window = match r.u32()? {
-        0 => None,
-        w => Some(w as usize),
-    };
-    let min_history = r.u32()? as usize;
-    let seed = r.u64()?;
-    let trace_stream_base = r.u64()?;
-    Ok(FleetConfig { lanes, break_even, window, min_history, seed, trace_stream_base })
-}
+pub const MAGIC: [u8; 4] = WIRE.magic;
 
 // ---------------------------------------------------------------------
 // Messages.
@@ -258,6 +42,10 @@ pub enum Request {
     /// lane `lane`'s stop duration at step `first_step + t`. Answered
     /// with [`Reply::Decisions`], [`Reply::Busy`] (backpressure), or
     /// [`Reply::Error`].
+    ///
+    /// The rows must be rectangular: all as wide as `rows[0]`. The frame
+    /// carries one width and the cells back to back, so a ragged block
+    /// would decode reshaped; [`crate::Client::submit`] refuses one.
     Submit {
         /// The step the client believes the block starts at
         /// (`u64::MAX` = don't check). The daemon rejects a mismatch so
@@ -423,20 +211,10 @@ impl Request {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Self::Hello { name } => put_string(&mut out, name),
-            Self::Submit { first_step, rows } => {
-                put_u64(&mut out, *first_step);
-                put_u32(&mut out, rows.len() as u32);
-                put_u32(&mut out, rows.first().map_or(0, |r| r.len() as u32));
-                for row in rows {
-                    for &y in row {
-                        put_f64(&mut out, y);
-                    }
-                }
-            }
+            Self::Hello { name } => put_string(out, name),
+            Self::Submit { first_step, rows } => put_submit(out, *first_step, rows),
             Self::Stats
             | Self::ExportState
             | Self::Subscribe
@@ -445,7 +223,6 @@ impl Request {
             | Self::Telemetry
             | Self::Shutdown => {}
         }
-        out
     }
 
     fn decode_payload(kind: u8, payload: &[u8]) -> Result<Self, WireError> {
@@ -460,7 +237,7 @@ impl Request {
                     .checked_mul(lanes)
                     .and_then(|c| c.checked_mul(8))
                     .ok_or(r.err("block size overflow"))?;
-                if cells != payload.len().saturating_sub(16) {
+                if cells != r.remaining() {
                     return Err(r.err("block size does not match payload length"));
                 }
                 let mut rows = Vec::with_capacity(steps);
@@ -502,66 +279,67 @@ impl Reply {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
             Self::HelloAck { config, step, client_id } => {
-                put_config(&mut out, config);
-                put_u64(&mut out, *step);
-                put_u64(&mut out, *client_id);
+                encode_config(out, config);
+                put_u64(out, *step);
+                put_u64(out, *client_id);
             }
             Self::Decisions { first_step, steps, lanes, thresholds, vertices } => {
-                put_u64(&mut out, *first_step);
-                put_u32(&mut out, *steps);
-                put_u32(&mut out, *lanes);
+                put_u64(out, *first_step);
+                put_u32(out, *steps);
+                put_u32(out, *lanes);
+                out.reserve(thresholds.len() * 9 + TRAILER_LEN);
                 for &x in thresholds {
-                    put_f64(&mut out, x);
+                    put_f64(out, x);
                 }
                 for &v in vertices {
                     out.push(v as u8);
                 }
             }
             Self::Busy { queued, capacity } => {
-                put_u32(&mut out, *queued);
-                put_u32(&mut out, *capacity);
+                put_u32(out, *queued);
+                put_u32(out, *capacity);
             }
             Self::Stats(s) => {
-                put_u64(&mut out, s.step);
-                put_u32(&mut out, s.lanes);
-                put_u32(&mut out, s.queue_depth);
-                put_u32(&mut out, s.queue_capacity);
-                put_u32(&mut out, s.connections);
-                put_u32(&mut out, s.subscribers);
-                put_u64(&mut out, s.busy_rejections);
-                put_u64(&mut out, s.blocks_ingested);
-                put_u64(&mut out, s.journal_frames);
-                put_f64(&mut out, s.online_total);
-                put_f64(&mut out, s.offline_total);
+                put_u64(out, s.step);
+                put_u32(out, s.lanes);
+                put_u32(out, s.queue_depth);
+                put_u32(out, s.queue_capacity);
+                put_u32(out, s.connections);
+                put_u32(out, s.subscribers);
+                put_u64(out, s.busy_rejections);
+                put_u64(out, s.blocks_ingested);
+                put_u64(out, s.journal_frames);
+                put_f64(out, s.online_total);
+                put_f64(out, s.offline_total);
             }
             Self::State(bytes) => out.extend_from_slice(bytes),
             Self::Events { last, jsonl } => {
                 out.push(u8::from(*last));
-                put_u32(&mut out, jsonl.len() as u32);
+                put_u32(out, jsonl.len() as u32);
                 out.extend_from_slice(jsonl.as_bytes());
             }
-            Self::Ack { info } => put_string(&mut out, info),
-            Self::Error { message } => put_string(&mut out, message),
+            Self::Ack { info } => put_string(out, info),
+            Self::Error { message } => put_string(out, message),
             Self::Telemetry { text } => {
                 // A full exposition page can exceed the short-string cap,
                 // so it rides as length-prefixed raw bytes like `Events`.
-                put_u32(&mut out, text.len() as u32);
+                put_u32(out, text.len() as u32);
                 out.extend_from_slice(text.as_bytes());
             }
         }
-        out
     }
 
     fn decode_payload(kind: u8, payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
         let reply = match kind {
-            KIND_HELLO_ACK => {
-                Self::HelloAck { config: read_config(&mut r)?, step: r.u64()?, client_id: r.u64()? }
-            }
+            KIND_HELLO_ACK => Self::HelloAck {
+                config: decode_config(&mut r)?,
+                step: r.u64()?,
+                client_id: r.u64()?,
+            },
             KIND_DECISIONS => {
                 let first_step = r.u64()?;
                 let steps = r.u32()?;
@@ -569,9 +347,7 @@ impl Reply {
                 let cells = (steps as usize)
                     .checked_mul(lanes as usize)
                     .ok_or(r.err("decision count overflow"))?;
-                if cells.checked_mul(9).ok_or(r.err("decision count overflow"))?
-                    != payload.len().saturating_sub(16)
-                {
+                if cells.checked_mul(9).ok_or(r.err("decision count overflow"))? != r.remaining() {
                     return Err(r.err("decision count does not match payload length"));
                 }
                 let mut thresholds = Vec::with_capacity(cells);
@@ -601,10 +377,7 @@ impl Reply {
                 online_total: r.f64()?,
                 offline_total: r.f64()?,
             }),
-            KIND_STATE => {
-                let bytes = payload.to_vec();
-                return Ok(Self::State(bytes));
-            }
+            KIND_STATE => return Ok(Self::State(payload.to_vec())),
             KIND_EVENTS => {
                 let last = match r.u8()? {
                     0 => false,
@@ -637,87 +410,62 @@ impl Reply {
 // Framing.
 // ---------------------------------------------------------------------
 
-fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(kind);
-    out.push(0);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32::crc32(&out).to_le_bytes());
+/// Appends a Submit payload straight from the caller's rows; the width
+/// is `rows[0]`'s (see [`Request::Submit`]).
+fn put_submit(out: &mut Vec<u8>, first_step: u64, rows: &[Vec<f64>]) {
+    let lanes = rows.first().map_or(0, Vec::len);
+    out.reserve(16 + rows.len() * lanes * 8 + TRAILER_LEN);
+    put_u64(out, first_step);
+    put_u32(out, rows.len() as u32);
+    put_u32(out, lanes as u32);
+    for row in rows {
+        for &y in row {
+            put_f64(out, y);
+        }
+    }
+}
+
+/// One [`WIRE`] frame of `kind` whose payload `payload` writes.
+fn frame(kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    WIRE.append(&mut out, kind, payload);
     out
 }
 
-/// Decodes the frame header alone: `(kind, payload_len)`. Used by stream
-/// readers to learn how many more bytes to read before the full frame
-/// can be verified.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`], [`WireError::BadMagic`],
-/// [`WireError::UnsupportedVersion`], or [`WireError::OversizedPayload`].
-pub fn decode_header(bytes: &[u8]) -> Result<(u8, u32), WireError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WireError::Truncated {
-            offset: bytes.len() as u64,
-            needed: HEADER_LEN as u64,
-            available: bytes.len() as u64,
-        });
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(WireError::BadMagic { offset: 0 });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != VERSION {
-        return Err(WireError::UnsupportedVersion { offset: 4, version });
-    }
-    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::OversizedPayload { offset: 8, len });
-    }
-    Ok((bytes[6], len))
+/// A Submit frame encoded from borrowed rows, without a [`Request`].
+pub(crate) fn encode_submit(first_step: u64, rows: &[Vec<f64>]) -> Vec<u8> {
+    frame(KIND_SUBMIT, |out| put_submit(out, first_step, rows))
 }
 
-/// Verifies a complete frame buffer (header + payload + checksum) and
-/// returns `(kind, payload)`.
+/// [`WIRE`]`.check_header`: `(kind, payload_len)` from a header alone.
 ///
 /// # Errors
 ///
-/// Any [`decode_header`] error, [`WireError::Truncated`] if the buffer
-/// is shorter than the frame, or [`WireError::ChecksumMismatch`].
+/// A header [`WireError`].
+pub fn decode_header(bytes: &[u8]) -> Result<(u8, u32), WireError> {
+    WIRE.check_header(bytes)
+}
+
+/// [`WIRE`]`.decode`: verifies a whole frame, returns `(kind, payload)`.
+///
+/// # Errors
+///
+/// A header, truncation or checksum [`WireError`].
 pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
-    let (kind, len) = decode_header(bytes)?;
-    let total = HEADER_LEN + len as usize + TRAILER_LEN;
-    if bytes.len() < total {
-        return Err(WireError::Truncated {
-            offset: bytes.len() as u64,
-            needed: total as u64,
-            available: bytes.len() as u64,
-        });
-    }
-    let body = &bytes[..HEADER_LEN + len as usize];
-    let at = HEADER_LEN + len as usize;
-    let stored = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-    let computed = crc32::crc32(body);
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { offset: at as u64, stored, computed });
-    }
-    Ok((kind, &bytes[HEADER_LEN..at]))
+    WIRE.decode(bytes)
 }
 
 /// Encodes a request as one frame.
 #[must_use]
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_frame(req.kind(), &req.payload())
+    frame(req.kind(), |out| req.put_payload(out))
 }
 
 /// Decodes a complete request frame.
 ///
 /// # Errors
 ///
-/// Any [`decode_frame`] error, [`WireError::UnknownKind`], or
-/// [`WireError::BadPayload`].
+/// Any [`decode_frame`] error, `UnknownKind`, or `BadPayload`.
 pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
     let (kind, payload) = decode_frame(bytes)?;
     Request::decode_payload(kind, payload)
@@ -726,55 +474,27 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
 /// Encodes a reply as one frame.
 #[must_use]
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    encode_frame(reply.kind(), &reply.payload())
+    frame(reply.kind(), |out| reply.put_payload(out))
 }
 
 /// Decodes a complete reply frame.
 ///
 /// # Errors
 ///
-/// Any [`decode_frame`] error, [`WireError::UnknownKind`], or
-/// [`WireError::BadPayload`].
+/// Any [`decode_frame`] error, `UnknownKind`, or `BadPayload`.
 pub fn decode_reply(bytes: &[u8]) -> Result<Reply, WireError> {
     let (kind, payload) = decode_frame(bytes)?;
     Reply::decode_payload(kind, payload)
 }
 
-// ---------------------------------------------------------------------
-// Stream I/O.
-// ---------------------------------------------------------------------
-
-/// Reads one complete frame from a stream: header first (to size the
-/// rest), then payload + checksum. Returns the whole frame buffer;
+/// [`WIRE`]`.read_frame`: one whole frame from a stream, or
 /// `Ok(None)` on clean EOF at a frame boundary.
 ///
 /// # Errors
 ///
-/// `std::io::Error` on transport failure; a [`WireError`] from the
-/// header (wrapped as `InvalidData`) aborts before reading the body, so
-/// garbage cannot make the reader wait for gigabytes.
+/// Transport failure, or a header error as `InvalidData`.
 pub fn read_frame<R: Read>(stream: &mut R) -> std::io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut got = 0usize;
-    while got < HEADER_LEN {
-        let n = stream.read(&mut header[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-frame",
-            ));
-        }
-        got += n;
-    }
-    let (_, len) = decode_header(&header)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut frame = vec![0u8; HEADER_LEN + len as usize + TRAILER_LEN];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    stream.read_exact(&mut frame[HEADER_LEN..])?;
-    Ok(Some(frame))
+    WIRE.read_frame(stream)
 }
 
 /// Writes one already-encoded frame to a stream and flushes it.
@@ -865,6 +585,14 @@ mod tests {
             let frame = encode_request(&req);
             assert_eq!(decode_request(&frame).unwrap(), req, "{req:?}");
         }
+        // A name over the string cap is cut at a char boundary, so it
+        // still decodes: 21,845 three-byte chars fill 65,535 bytes.
+        let long = encode_request(&Request::Hello { name: "€".repeat(30_000) });
+        assert_eq!(decode_request(&long).unwrap(), Request::Hello { name: "€".repeat(21_845) });
+        // The borrowed-rows encoder writes the same bytes.
+        let rows = vec![vec![1.0, 2.5, f64::INFINITY], vec![0.0, 4.25, 9.75]];
+        let owned = encode_request(&Request::Submit { first_step: 7, rows: rows.clone() });
+        assert_eq!(encode_submit(7, &rows), owned);
     }
 
     #[test]
@@ -926,6 +654,10 @@ mod tests {
         assert!(matches!(decode_request(&frame), Err(WireError::UnknownKind { .. })));
         let frame = encode_request(&Request::Stats);
         assert!(matches!(decode_reply(&frame), Err(WireError::UnknownKind { .. })));
+        // A journal frame is not a message, whatever its kind byte.
+        let mut store = Vec::new();
+        fleetstate::format::STORE.append(&mut store, KIND_HELLO, |out| put_string(out, "x"));
+        assert_eq!(decode_request(&store), Err(WireError::BadMagic { offset: 0 }));
     }
 
     #[test]

@@ -149,6 +149,35 @@ fn bad_stop_submit_is_an_error_and_the_next_submit_is_answered() {
     started.handle.stop();
 }
 
+/// A ragged block is refused by the client before it is sent: the frame
+/// carries one width, so the daemon would otherwise decode and journal
+/// a reshaped block the client never meant.
+#[test]
+fn ragged_submit_is_refused_and_nothing_is_journaled() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, socket) = scratch("ragged");
+    let started = serve(&options(&dir, false), &socket, None).unwrap();
+    let mut client = Client::connect_unix(&socket).unwrap();
+    client.hello("it-ragged").unwrap();
+    client.submit(0, &rows(0, 2)).unwrap();
+    let journal = dir.join(fleetstate::JOURNAL_FILE);
+    let before = std::fs::read(&journal).unwrap();
+
+    // Widths LANES, LANES - 1, LANES + 1: 3 * LANES cells in all, which
+    // a width-times-steps check alone would accept as a 3-step block.
+    let mut ragged = rows(2, 3);
+    let moved = ragged[1].pop().unwrap();
+    ragged[2].push(moved);
+    let err = client.submit(2, &ragged).unwrap_err();
+    assert!(matches!(err, ClientError::RaggedRows { row: 1 }), "{err}");
+    assert_eq!(client.stats().unwrap().step, 2);
+    assert_eq!(std::fs::read(&journal).unwrap(), before);
+
+    // The connection is still in step: the next block is answered.
+    assert!(matches!(client.submit(2, &rows(2, 1)), Ok(Reply::Decisions { first_step: 2, .. })));
+    started.handle.stop();
+}
+
 #[test]
 fn full_queue_answers_busy_not_block() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());

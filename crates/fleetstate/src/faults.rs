@@ -185,12 +185,13 @@ impl StorageFaultPlan {
 mod tests {
     use super::*;
     use crate::error::PersistError;
-    use crate::format::{decode_frame_at, encode_frame, FrameKind};
+    use crate::format::tests::store_frame;
+    use crate::format::{decode_frame_at, FrameKind};
 
     fn file() -> Vec<u8> {
-        let mut buf = encode_frame(FrameKind::JournalHeader, b"header payload");
-        buf.extend_from_slice(&encode_frame(FrameKind::Observations, b"step payload 0"));
-        buf.extend_from_slice(&encode_frame(FrameKind::Observations, b"step payload 1"));
+        let mut buf = store_frame(FrameKind::JournalHeader, b"header payload");
+        buf.extend_from_slice(&store_frame(FrameKind::Observations, b"step payload 0"));
+        buf.extend_from_slice(&store_frame(FrameKind::Observations, b"step payload 1"));
         buf
     }
 

@@ -1,36 +1,39 @@
-//! The framed binary container shared by snapshots and the journal.
+//! The one frame codec: the framed binary container shared by
+//! snapshots, the journal and the `fleetd` wire protocol.
 //!
-//! Every persisted record is one **frame**:
+//! Every record or message is one **frame**:
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic  "FLST"
+//! 0       4     magic  ("FLST" for STORE, "FLTD" for WIRE)
 //! 4       2     format version (little-endian u16, currently 1)
-//! 6       1     frame kind (see [`FrameKind`])
+//! 6       1     frame kind
 //! 7       1     reserved (zero)
 //! 8       4     payload length (little-endian u32)
 //! 12      n     payload
 //! 12+n    4     CRC-32 (IEEE) over bytes [0, 12+n)
 //! ```
 //!
-//! All integers are little-endian. The checksum covers the header *and*
-//! the payload, so a bit flip anywhere in the frame — including the
-//! length field itself — fails verification. Frames are concatenated
-//! back to back with no padding; a reader walks the file frame by frame
-//! and distinguishes a **torn tail** (the expected artifact of a crash
-//! mid-append: the last frame runs out of bytes or fails its checksum,
-//! with nothing valid after it) from **mid-stream corruption** (damage
-//! followed by further valid frames, which is never a crash artifact
-//! and always an error).
+//! Two [`FrameSpec`]s use it: [`STORE`] for snapshot and journal files
+//! (kinds in [`FrameKind`]) and [`WIRE`] for `fleetd` messages; their
+//! magics differ, so neither accepts the other's frames.
+//! [`FrameSpec::append`] is the only frame writer and
+//! [`FrameSpec::decode`] the only verifier. Payloads are little-endian,
+//! floats raw IEEE-754 bits, written with the `put_*` helpers and read
+//! with the bounds-checked [`Reader`]. The checksum covers the header
+//! too, so a flipped length fails verification; decoding arbitrary bytes
+//! gives a typed [`FrameError`], never a panic or an unchecked allocation.
+//!
+//! Files concatenate frames back to back with no padding; a reader walks
+//! the file frame by frame and distinguishes a **torn tail** (the
+//! expected artifact of a crash mid-append: the last frame runs out of
+//! bytes or fails its checksum, with nothing valid after it) from
+//! **mid-stream corruption** (damage followed by further valid frames,
+//! which is never a crash artifact and always an error).
 
 use crate::error::PersistError;
 use numeric::crc32;
-
-/// The four magic bytes opening every frame.
-pub const MAGIC: [u8; 4] = *b"FLST";
-
-/// The current format version.
-pub const VERSION: u16 = 1;
+use std::io::Read;
 
 /// Bytes of the fixed frame header (before the payload).
 pub const HEADER_LEN: usize = 12;
@@ -38,12 +41,358 @@ pub const HEADER_LEN: usize = 12;
 /// Bytes of the trailing checksum.
 pub const TRAILER_LEN: usize = 4;
 
-/// Sanity cap on a single frame's payload, so a crafted length field
-/// cannot demand an absurd allocation (corrupted lengths are already
-/// caught by the checksum).
-pub const MAX_PAYLOAD: u32 = 1 << 28;
+/// Cap on a [`put_string`] / [`Reader::string`] field, in bytes.
+pub const MAX_STRING: u32 = 1 << 16;
 
-/// What a frame carries.
+/// What tells one framed format from another; the layout and every
+/// function on this type are shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameSpec {
+    /// The four magic bytes opening every frame.
+    pub magic: [u8; 4],
+    /// The format version.
+    pub version: u16,
+    /// Cap on one frame's payload, checked against the header's length
+    /// field *before* any buffer is sized from it.
+    pub max_payload: u32,
+}
+
+/// Snapshots and the journal: magic `FLST`, payloads up to 256 MiB.
+pub const STORE: FrameSpec = FrameSpec { magic: *b"FLST", version: 1, max_payload: 1 << 28 };
+
+/// The `fleetd` wire protocol: magic `FLTD`, payloads up to 64 MiB.
+pub const WIRE: FrameSpec = FrameSpec { magic: *b"FLTD", version: 1, max_payload: 1 << 26 };
+
+/// Why decoding a frame or its payload failed. Every variant names the
+/// offset in the frame (in the payload, for `BadPayload`) where it was
+/// detected; [`FrameError::at`] turns it into a [`PersistError`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// The buffer ends before the frame does.
+    Truncated {
+        /// Offset where more bytes were needed.
+        offset: u64,
+        /// Bytes the frame claims to need from offset 0.
+        needed: u64,
+        /// Bytes actually available.
+        available: u64,
+    },
+    /// The first four bytes are not the format's magic.
+    BadMagic {
+        /// Offset of the expected magic (always 0 for a frame decode).
+        offset: u64,
+    },
+    /// A frame from a different format version.
+    UnsupportedVersion {
+        /// Offset of the version field.
+        offset: u64,
+        /// The version the header claims.
+        version: u16,
+    },
+    /// The payload length field exceeds [`FrameSpec::max_payload`].
+    OversizedPayload {
+        /// Offset of the length field.
+        offset: u64,
+        /// The length the header claims.
+        len: u32,
+    },
+    /// The frame's CRC-32 does not match its contents.
+    ChecksumMismatch {
+        /// Offset of the stored checksum.
+        offset: u64,
+        /// The checksum stored in the frame.
+        stored: u32,
+        /// The checksum computed over the frame's bytes.
+        computed: u32,
+    },
+    /// A valid frame whose kind byte this decoder does not accept.
+    UnknownKind {
+        /// Offset of the kind byte.
+        offset: u64,
+        /// The kind byte the header carries.
+        kind: u8,
+    },
+    /// A CRC-valid frame whose payload does not decode.
+    BadPayload {
+        /// Offset (within the payload) where decoding failed.
+        offset: u64,
+        /// What was wrong.
+        what: &'static str,
+    },
+}
+
+impl FrameError {
+    /// The [`PersistError`] for this error in the frame that starts at
+    /// file offset `offset`, which it names instead of the in-frame one.
+    #[must_use]
+    pub fn at(self, offset: u64) -> PersistError {
+        match self {
+            Self::Truncated { needed, available, .. } => {
+                PersistError::TruncatedFrame { offset, needed, available }
+            }
+            Self::BadMagic { .. } => PersistError::BadMagic { offset },
+            Self::UnsupportedVersion { version, .. } => {
+                PersistError::UnsupportedVersion { offset, version }
+            }
+            Self::OversizedPayload { .. } => {
+                PersistError::BadPayload { offset, what: "frame length exceeds the format maximum" }
+            }
+            Self::ChecksumMismatch { stored, computed, .. } => {
+                PersistError::ChecksumMismatch { offset, stored, computed }
+            }
+            Self::UnknownKind { kind, .. } => PersistError::UnknownFrameKind { offset, kind },
+            Self::BadPayload { what, .. } => PersistError::BadPayload { offset, what },
+        }
+    }
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Truncated { offset, needed, available } => write!(
+                f,
+                "truncated frame at offset {offset}: needs {needed} bytes, {available} available"
+            ),
+            Self::BadMagic { offset } => write!(f, "bad magic at offset {offset}"),
+            Self::UnsupportedVersion { offset, version } => {
+                write!(f, "unsupported frame version {version} at offset {offset}")
+            }
+            Self::OversizedPayload { offset, len } => {
+                write!(f, "oversized payload length {len} at offset {offset}")
+            }
+            Self::ChecksumMismatch { offset, stored, computed } => write!(
+                f,
+                "checksum mismatch at offset {offset}: stored {stored:#010x}, computed {computed:#010x}"
+            ),
+            Self::UnknownKind { offset, kind } => {
+                write!(f, "unknown frame kind {kind} at offset {offset}")
+            }
+            Self::BadPayload { offset, what } => {
+                write!(f, "bad payload at offset {offset}: {what}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl FrameSpec {
+    /// Appends one frame of `kind` to `out`. `payload` writes the
+    /// payload bytes straight into `out`; the length field and the
+    /// checksum are filled in afterwards, so no payload is copied.
+    pub fn append(&self, out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+        let start = out.len();
+        out.extend_from_slice(&self.magic);
+        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&[kind, 0, 0, 0, 0, 0]);
+        payload(out);
+        let len = (out.len() - start - HEADER_LEN) as u32;
+        out[start + 8..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32::crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Checks a frame header alone and returns `(kind, payload_len)`. An
+    /// oversized length is rejected here, before any buffer is sized.
+    ///
+    /// # Errors
+    ///
+    /// `Truncated`, `BadMagic`, `UnsupportedVersion` or `OversizedPayload`.
+    pub fn check_header(&self, bytes: &[u8]) -> Result<(u8, u32), FrameError> {
+        if bytes.len() < HEADER_LEN {
+            return Err(FrameError::Truncated {
+                offset: bytes.len() as u64,
+                needed: HEADER_LEN as u64,
+                available: bytes.len() as u64,
+            });
+        }
+        if bytes[0..4] != self.magic {
+            return Err(FrameError::BadMagic { offset: 0 });
+        }
+        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        if version != self.version {
+            return Err(FrameError::UnsupportedVersion { offset: 4, version });
+        }
+        let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        if len > self.max_payload {
+            return Err(FrameError::OversizedPayload { offset: 8, len });
+        }
+        Ok((bytes[6], len))
+    }
+
+    /// Verifies the frame at the start of `bytes` and returns `(kind,
+    /// payload)`, the payload borrowed. Bytes past the frame are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Any [`FrameSpec::check_header`] error, `Truncated`, or
+    /// `ChecksumMismatch`.
+    pub fn decode<'a>(&self, bytes: &'a [u8]) -> Result<(u8, &'a [u8]), FrameError> {
+        let (kind, len) = self.check_header(bytes)?;
+        let at = HEADER_LEN + len as usize;
+        if bytes.len() < at + TRAILER_LEN {
+            return Err(FrameError::Truncated {
+                offset: bytes.len() as u64,
+                needed: (at + TRAILER_LEN) as u64,
+                available: bytes.len() as u64,
+            });
+        }
+        let stored = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
+        let computed = crc32::crc32(&bytes[..at]);
+        if stored != computed {
+            return Err(FrameError::ChecksumMismatch { offset: at as u64, stored, computed });
+        }
+        Ok((kind, &bytes[HEADER_LEN..at]))
+    }
+
+    /// Reads one whole frame from a stream, verified up to its header;
+    /// `Ok(None)` on clean EOF at a frame boundary.
+    ///
+    /// # Errors
+    ///
+    /// Transport failure, or a header error (as `InvalidData`) before
+    /// the body is read, so garbage cannot make it wait for gigabytes.
+    pub fn read_frame<R: Read>(&self, stream: &mut R) -> std::io::Result<Option<Vec<u8>>> {
+        let mut header = [0u8; HEADER_LEN];
+        let mut got = 0usize;
+        while got < HEADER_LEN {
+            let n = stream.read(&mut header[got..])?;
+            if n == 0 {
+                if got == 0 {
+                    return Ok(None);
+                }
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                ));
+            }
+            got += n;
+        }
+        let (_, len) = self
+            .check_header(&header)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let mut frame = vec![0u8; HEADER_LEN + len as usize + TRAILER_LEN];
+        frame[..HEADER_LEN].copy_from_slice(&header);
+        stream.read_exact(&mut frame[HEADER_LEN..])?;
+        Ok(Some(frame))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Little-endian payload writers and the bounds-checked payload reader.
+// ---------------------------------------------------------------------
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f64` as its raw IEEE-754 bits, little-endian.
+#[inline]
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
+/// Appends a `u32`-length-prefixed UTF-8 string, cut to at most
+/// [`MAX_STRING`] bytes at a character boundary so it always decodes.
+pub fn put_string(out: &mut Vec<u8>, s: &str) {
+    let mut end = s.len().min(MAX_STRING as usize);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    put_u32(out, end as u32);
+    out.extend_from_slice(&s.as_bytes()[..end]);
+}
+
+/// Cursor over a payload. Every read is bounds-checked; every failure is
+/// a [`FrameError::BadPayload`] at the offset within the payload.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, at: 0 }
+    }
+
+    /// A [`FrameError::BadPayload`] at the current offset.
+    #[inline]
+    #[must_use]
+    pub fn err(&self, what: &'static str) -> FrameError {
+        FrameError::BadPayload { offset: self.at as u64, what }
+    }
+
+    /// The next `n` bytes, or an error if fewer remain.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        let end = self.at.checked_add(n).filter(|&end| end <= self.bytes.len());
+        let end = end.ok_or(self.err("payload ends early"))?;
+        let s = &self.bytes[self.at..end];
+        self.at = end;
+        Ok(s)
+    }
+
+    /// The next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, FrameError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, FrameError> {
+        self.take(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    /// The next little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, FrameError> {
+        self.take(8).map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+    }
+
+    /// The next `f64`, from its raw bits.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, FrameError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// The next [`put_string`] field, at most [`MAX_STRING`] bytes.
+    pub fn string(&mut self) -> Result<String, FrameError> {
+        let len = self.u32()?;
+        if len > MAX_STRING {
+            return Err(self.err("string too long"));
+        }
+        let bytes = self.take(len as usize)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("string is not UTF-8"))
+    }
+
+    /// Bytes not yet consumed: check counts read from the payload against
+    /// this BEFORE sizing any allocation from them.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
+    /// Checks that the whole payload was consumed.
+    pub fn finish(self) -> Result<(), FrameError> {
+        (self.remaining() == 0).then_some(()).ok_or(self.err("trailing payload bytes"))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Snapshot and journal files.
+// ---------------------------------------------------------------------
+
+/// What a [`STORE`] frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -57,108 +406,35 @@ pub enum FrameKind {
     ScalarSnapshot = 4,
 }
 
-impl FrameKind {
-    /// Decodes a kind byte.
-    #[must_use]
-    pub fn from_u8(kind: u8) -> Option<Self> {
-        match kind {
-            1 => Some(Self::Snapshot),
-            2 => Some(Self::JournalHeader),
-            3 => Some(Self::Observations),
-            4 => Some(Self::ScalarSnapshot),
-            _ => None,
-        }
-    }
-}
-
-/// One decoded frame: its kind, payload, and location in the file.
+/// One decoded [`STORE`] frame: its kind, payload, and location in the
+/// file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
-    /// The frame's kind byte (validated against [`FrameKind`] by the
-    /// journal/snapshot readers, which know which kinds they accept).
+pub struct Frame<'a> {
+    /// The frame's kind byte; the readers check it against [`FrameKind`].
     pub kind: u8,
-    /// The payload bytes.
-    pub payload: Vec<u8>,
+    /// The payload bytes, borrowed from the scanned file.
+    pub payload: &'a [u8],
     /// Byte offset of the frame's header in the file.
     pub offset: u64,
     /// Total encoded length (header + payload + checksum).
     pub len: u64,
 }
 
-/// Encodes one frame.
-#[must_use]
-pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(kind as u8);
-    out.push(0);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32::crc32(&out).to_le_bytes());
-    out
-}
-
-/// Decodes the frame starting at `offset`, verifying magic, version,
-/// length, and checksum.
+/// Decodes the [`STORE`] frame starting at file offset `offset`.
 ///
 /// # Errors
 ///
-/// [`PersistError::TruncatedFrame`], [`PersistError::BadMagic`],
-/// [`PersistError::UnsupportedVersion`], or
-/// [`PersistError::ChecksumMismatch`] — each naming `offset`.
-pub fn decode_frame_at(bytes: &[u8], offset: u64) -> Result<Frame, PersistError> {
-    let start = offset as usize;
-    let rest = &bytes[start..];
-    if rest.len() < HEADER_LEN {
-        return Err(PersistError::TruncatedFrame {
-            offset,
-            needed: HEADER_LEN as u64,
-            available: rest.len() as u64,
-        });
-    }
-    if rest[0..4] != MAGIC {
-        return Err(PersistError::BadMagic { offset });
-    }
-    let version = u16::from_le_bytes([rest[4], rest[5]]);
-    if version != VERSION {
-        return Err(PersistError::UnsupportedVersion { offset, version });
-    }
-    let kind = rest[6];
-    let payload_len = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]);
-    let payload_len = payload_len.min(MAX_PAYLOAD) as usize;
-    let total = HEADER_LEN + payload_len + TRAILER_LEN;
-    if rest.len() < total {
-        return Err(PersistError::TruncatedFrame {
-            offset,
-            needed: total as u64,
-            available: rest.len() as u64,
-        });
-    }
-    let body = &rest[..HEADER_LEN + payload_len];
-    let stored = u32::from_le_bytes([
-        rest[HEADER_LEN + payload_len],
-        rest[HEADER_LEN + payload_len + 1],
-        rest[HEADER_LEN + payload_len + 2],
-        rest[HEADER_LEN + payload_len + 3],
-    ]);
-    let computed = crc32::crc32(body);
-    if stored != computed {
-        return Err(PersistError::ChecksumMismatch { offset, stored, computed });
-    }
-    Ok(Frame {
-        kind,
-        payload: rest[HEADER_LEN..HEADER_LEN + payload_len].to_vec(),
-        offset,
-        len: total as u64,
-    })
+/// The [`FrameSpec::decode`] error, named at `offset` by [`FrameError::at`].
+pub fn decode_frame_at(bytes: &[u8], offset: u64) -> Result<Frame<'_>, PersistError> {
+    let (kind, payload) = STORE.decode(&bytes[offset as usize..]).map_err(|e| e.at(offset))?;
+    Ok(Frame { kind, payload, offset, len: (HEADER_LEN + payload.len() + TRAILER_LEN) as u64 })
 }
 
 /// The result of walking a file frame by frame.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FrameScan {
+pub struct FrameScan<'a> {
     /// The valid frames, in file order.
-    pub frames: Vec<Frame>,
+    pub frames: Vec<Frame<'a>>,
     /// Bytes of the clean prefix (everything before the first damage;
     /// the whole file when undamaged).
     pub clean_len: u64,
@@ -169,12 +445,14 @@ pub struct FrameScan {
     pub torn_tail: Option<PersistError>,
 }
 
-/// Finds the next offset at which the frame magic occurs, strictly after
-/// `from`.
-fn next_magic(bytes: &[u8], from: usize) -> Option<usize> {
+/// Lenient resync probe: the next offset strictly after `from` at which
+/// the [`STORE`] magic occurs. Readers that tolerate damage use it to
+/// skip past an unreadable region.
+fn next_frame_probe(bytes: &[u8], from: usize) -> Option<usize> {
+    let magic = STORE.magic;
     let mut i = from + 1;
-    while i + MAGIC.len() <= bytes.len() {
-        if bytes[i..i + MAGIC.len()] == MAGIC {
+    while i + magic.len() <= bytes.len() {
+        if bytes[i..i + magic.len()] == magic {
             return Some(i);
         }
         i += 1;
@@ -191,7 +469,7 @@ fn next_magic(bytes: &[u8], from: usize) -> Option<usize> {
 ///
 /// [`PersistError::CorruptMidStream`] naming both the damaged offset and
 /// the offset where valid frames resume.
-pub fn scan_frames(bytes: &[u8]) -> Result<FrameScan, PersistError> {
+pub fn scan_frames(bytes: &[u8]) -> Result<FrameScan<'_>, PersistError> {
     let mut frames = Vec::new();
     let mut offset = 0u64;
     while (offset as usize) < bytes.len() {
@@ -204,7 +482,7 @@ pub fn scan_frames(bytes: &[u8]) -> Result<FrameScan, PersistError> {
                 // Distinguish torn tail from mid-stream damage: is there
                 // any *valid* frame after the damaged region?
                 let mut probe = offset as usize;
-                while let Some(r) = next_magic(bytes, probe) {
+                while let Some(r) = next_frame_probe(bytes, probe) {
                     if decode_frame_at(bytes, r as u64).is_ok() {
                         return Err(PersistError::CorruptMidStream {
                             offset,
@@ -220,50 +498,55 @@ pub fn scan_frames(bytes: &[u8]) -> Result<FrameScan, PersistError> {
     Ok(FrameScan { frames, clean_len: offset, torn_tail: None })
 }
 
-/// Lenient resync probe: the next offset strictly after `from` at which
-/// the frame magic occurs. Readers that tolerate damage (the snapshot
-/// scanner, the fault injector's frame addressing) use this to skip past
-/// an unreadable region.
-pub(crate) fn next_frame_probe(bytes: &[u8], from: usize) -> Option<usize> {
-    next_magic(bytes, from)
+/// Walks `bytes` leniently: each valid frame as `Some`, and each
+/// damaged region, skipped by resyncing on the magic, as one `None`.
+pub(crate) fn walk_frames(bytes: &[u8]) -> impl Iterator<Item = Option<Frame<'_>>> {
+    let mut offset = 0usize;
+    std::iter::from_fn(move || {
+        if offset >= bytes.len() {
+            return None;
+        }
+        Some(match decode_frame_at(bytes, offset as u64) {
+            Ok(frame) => {
+                offset += frame.len as usize;
+                Some(frame)
+            }
+            Err(_) => {
+                offset = next_frame_probe(bytes, offset).unwrap_or(bytes.len());
+                None
+            }
+        })
+    })
 }
 
 /// The `(offset, total_len)` of every frame-shaped region in `bytes`,
-/// scanning leniently (damaged regions are skipped by resyncing on the
-/// magic). Fault injectors use this to address "frame #k" in a file
-/// without trusting it to be fully clean.
+/// scanning leniently. Fault injectors use this to address "frame #k"
+/// in a file without trusting it to be fully clean.
 #[must_use]
 pub fn frame_offsets(bytes: &[u8]) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        match decode_frame_at(bytes, offset as u64) {
-            Ok(frame) => {
-                out.push((frame.offset, frame.len));
-                offset += frame.len as usize;
-            }
-            Err(_) => match next_magic(bytes, offset) {
-                Some(r) => offset = r,
-                None => break,
-            },
-        }
-    }
-    out
+    walk_frames(bytes).flatten().map(|frame| (frame.offset, frame.len)).collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// One [`STORE`] frame of `kind` carrying `payload`.
+    pub(crate) fn store_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        STORE.append(&mut out, kind as u8, |p| p.extend_from_slice(payload));
+        out
+    }
+
     fn two_frames() -> Vec<u8> {
-        let mut buf = encode_frame(FrameKind::JournalHeader, b"header");
-        buf.extend_from_slice(&encode_frame(FrameKind::Observations, b"step zero"));
+        let mut buf = store_frame(FrameKind::JournalHeader, b"header");
+        buf.extend_from_slice(&store_frame(FrameKind::Observations, b"step zero"));
         buf
     }
 
     #[test]
     fn roundtrip_single_frame() {
-        let buf = encode_frame(FrameKind::Snapshot, b"payload bytes");
+        let buf = store_frame(FrameKind::Snapshot, b"payload bytes");
         let frame = decode_frame_at(&buf, 0).unwrap();
         assert_eq!(frame.kind, FrameKind::Snapshot as u8);
         assert_eq!(frame.payload, b"payload bytes");
@@ -288,6 +571,18 @@ mod tests {
         let scan = scan_frames(&buf).unwrap();
         assert_eq!(scan.frames.len(), 1);
         assert!(matches!(scan.torn_tail, Some(PersistError::TruncatedFrame { .. })));
+
+        // A bare header claiming a u32::MAX payload is rejected by the
+        // header check, before anything is sized from its length.
+        let mut buf = two_frames();
+        let clean = buf.len() as u64;
+        buf.extend_from_slice(&store_frame(FrameKind::Observations, b"")[..HEADER_LEN]);
+        buf[clean as usize + 8..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let scan = scan_frames(&buf).unwrap();
+        assert_eq!((scan.frames.len(), scan.clean_len), (2, clean));
+        assert!(
+            matches!(scan.torn_tail, Some(PersistError::BadPayload { offset, .. }) if offset == clean)
+        );
     }
 
     #[test]
@@ -316,7 +611,7 @@ mod tests {
 
     #[test]
     fn version_bump_detected() {
-        let mut buf = encode_frame(FrameKind::Snapshot, b"x");
+        let mut buf = store_frame(FrameKind::Snapshot, b"x");
         buf[4] = 2;
         // Recompute the checksum so only the version differs.
         let body_len = buf.len() - TRAILER_LEN;
@@ -328,23 +623,9 @@ mod tests {
 
     #[test]
     fn bad_magic_detected() {
-        let mut buf = encode_frame(FrameKind::Snapshot, b"x");
+        let mut buf = store_frame(FrameKind::Snapshot, b"x");
         buf[0] = b'X';
         assert_eq!(decode_frame_at(&buf, 0).unwrap_err(), PersistError::BadMagic { offset: 0 });
-    }
-
-    #[test]
-    fn frame_kind_codec() {
-        for kind in [
-            FrameKind::Snapshot,
-            FrameKind::JournalHeader,
-            FrameKind::Observations,
-            FrameKind::ScalarSnapshot,
-        ] {
-            assert_eq!(FrameKind::from_u8(kind as u8), Some(kind));
-        }
-        assert_eq!(FrameKind::from_u8(0), None);
-        assert_eq!(FrameKind::from_u8(99), None);
     }
 
     #[test]
@@ -353,5 +634,14 @@ mod tests {
         assert!(scan.frames.is_empty());
         assert!(scan.torn_tail.is_none());
         assert_eq!(scan.clean_len, 0);
+    }
+
+    #[test]
+    fn reader_reports_overlong_payload() {
+        let mut r = Reader::new(&[0u8; 4]);
+        r.u8().unwrap();
+        let err = r.finish().unwrap_err();
+        assert_eq!(err, FrameError::BadPayload { offset: 1, what: "trailing payload bytes" });
+        assert!(matches!(err.at(3), PersistError::BadPayload { offset: 3, .. }));
     }
 }

@@ -22,8 +22,10 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::error::{io_err, PersistError};
-use crate::format::{encode_frame, scan_frames, Frame, FrameKind};
-use crate::state::{decode_config, encode_config, FleetConfig, Reader};
+use crate::format::{
+    put_f64, put_u64, scan_frames, FrameError, FrameKind, Reader, HEADER_LEN, STORE, TRAILER_LEN,
+};
+use crate::state::{decode_config, encode_config, FleetConfig};
 
 /// Wall-clock cost of one [`Journal::append_block_timed`] call, split
 /// into the buffered write and the `sync_data` flush. Timing is
@@ -92,9 +94,8 @@ impl Journal {
             .truncate(true)
             .open(path)
             .map_err(|e| io_err(path, &e))?;
-        let mut payload = Vec::new();
-        encode_config(&mut payload, config);
-        let frame = encode_frame(FrameKind::JournalHeader, &payload);
+        let mut frame = Vec::new();
+        STORE.append(&mut frame, FrameKind::JournalHeader as u8, |out| encode_config(out, config));
         file.write_all(&frame).map_err(|e| io_err(path, &e))?;
         file.sync_data().map_err(|e| io_err(path, &e))?;
         Ok(Self {
@@ -145,26 +146,11 @@ impl Journal {
     /// could never be replayed), or [`PersistError::Io`] on write
     /// failure. Nothing is written on a validation failure.
     pub fn append_step(&mut self, step: u64, row: &[f64]) -> Result<(), PersistError> {
-        if step != self.next_step {
-            return Err(PersistError::NonContiguousStep {
-                offset: 0,
-                expected: self.next_step,
-                found: step,
-            });
-        }
+        self.check_next(step)?;
         check_row(row, self.config.lanes)?;
-        let mut payload = Vec::with_capacity(8 + row.len() * 8);
-        payload.extend_from_slice(&step.to_le_bytes());
-        for &y in row {
-            payload.extend_from_slice(&y.to_bits().to_le_bytes());
-        }
-        let frame = encode_frame(FrameKind::Observations, &payload);
-        self.file.write_all(&frame).map_err(|e| io_err(&self.path, &e))?;
-        self.file.sync_data().map_err(|e| io_err(&self.path, &e))?;
-        self.next_step += 1;
-        self.frames_written += 1;
-        self.bytes_written += frame.len() as u64;
-        Ok(())
+        let mut buf = Vec::with_capacity(HEADER_LEN + 8 + row.len() * 8 + TRAILER_LEN);
+        put_observations(&mut buf, step, row);
+        self.commit(&buf, 1).map(|_| ())
     }
 
     /// Appends a whole block of steps as one write + one flush —
@@ -194,38 +180,37 @@ impl Journal {
         first_step: u64,
         rows: &[Vec<f64>],
     ) -> Result<AppendTiming, PersistError> {
-        if first_step != self.next_step {
-            return Err(PersistError::NonContiguousStep {
-                offset: 0,
-                expected: self.next_step,
-                found: first_step,
-            });
-        }
+        self.check_next(first_step)?;
         check_rows(rows, self.config.lanes)?;
         if rows.is_empty() {
             return Ok(AppendTiming::default());
         }
-        let mut buf = Vec::with_capacity(
-            rows.len() * (crate::format::HEADER_LEN + crate::format::TRAILER_LEN + 8)
-                + rows.len() * self.config.lanes * 8,
-        );
-        let mut payload = Vec::with_capacity(8 + self.config.lanes * 8);
+        let mut buf =
+            Vec::with_capacity(rows.len() * (HEADER_LEN + 8 + self.config.lanes * 8 + TRAILER_LEN));
         for (t, row) in rows.iter().enumerate() {
-            payload.clear();
-            payload.extend_from_slice(&(first_step + t as u64).to_le_bytes());
-            for &y in row {
-                payload.extend_from_slice(&y.to_bits().to_le_bytes());
-            }
-            buf.extend_from_slice(&encode_frame(FrameKind::Observations, &payload));
+            put_observations(&mut buf, first_step + t as u64, row);
         }
+        self.commit(&buf, rows.len() as u64)
+    }
+
+    /// Rejects a step that is not the next one the journal expects.
+    fn check_next(&self, step: u64) -> Result<(), PersistError> {
+        if step == self.next_step {
+            return Ok(());
+        }
+        Err(PersistError::NonContiguousStep { offset: 0, expected: self.next_step, found: step })
+    }
+
+    /// Writes `buf` (`steps` whole observation frames) and flushes it.
+    fn commit(&mut self, buf: &[u8], steps: u64) -> Result<AppendTiming, PersistError> {
         let write_start = Instant::now();
-        self.file.write_all(&buf).map_err(|e| io_err(&self.path, &e))?;
+        self.file.write_all(buf).map_err(|e| io_err(&self.path, &e))?;
         let sync_start = Instant::now();
         self.file.sync_data().map_err(|e| io_err(&self.path, &e))?;
         let sync_s = sync_start.elapsed().as_secs_f64();
         let write_s = (sync_start - write_start).as_secs_f64();
-        self.next_step += rows.len() as u64;
-        self.frames_written += rows.len() as u64;
+        self.next_step += steps;
+        self.frames_written += steps;
         self.bytes_written += buf.len() as u64;
         Ok(AppendTiming { write_s, sync_s })
     }
@@ -269,8 +254,19 @@ pub struct JournalContents {
     pub frames: u64,
 }
 
-fn decode_observations(frame: &Frame, lanes: usize) -> Result<(u64, Vec<f64>), PersistError> {
-    let mut r = Reader::new(&frame.payload, frame.offset);
+/// Appends one [`FrameKind::Observations`] frame: the step, then the
+/// row's stops as raw bits.
+fn put_observations(out: &mut Vec<u8>, step: u64, row: &[f64]) {
+    STORE.append(out, FrameKind::Observations as u8, |out| {
+        put_u64(out, step);
+        for &y in row {
+            put_f64(out, y);
+        }
+    });
+}
+
+fn decode_observations(payload: &[u8], lanes: usize) -> Result<(u64, Vec<f64>), FrameError> {
+    let mut r = Reader::new(payload);
     let step = r.u64()?;
     let mut row = Vec::with_capacity(lanes);
     for _ in 0..lanes {
@@ -299,29 +295,24 @@ pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents, PersistError> {
         Some(f) if f.kind == FrameKind::JournalHeader as u8 => f,
         _ => return Err(PersistError::MissingJournalHeader),
     };
-    let config = {
-        let mut r = Reader::new(&header.payload, header.offset);
-        let c = decode_config(&mut r)?;
-        r.finish()?;
-        c
-    };
+    let mut r = Reader::new(header.payload);
+    let config = decode_config(&mut r).and_then(|c| r.finish().map(|()| c));
+    let config = config.map_err(|e| e.at(header.offset))?;
     let mut steps: Vec<Vec<f64>> = Vec::new();
     let mut duplicates_skipped = 0u64;
-    let mut prev: Option<&Frame> = Some(header);
+    let mut prev = header;
     for frame in frames {
         if frame.kind != FrameKind::Observations as u8 {
             return Err(PersistError::UnknownFrameKind { offset: frame.offset, kind: frame.kind });
         }
         // A retried append interrupted between the write and the
         // bookkeeping leaves the previous frame repeated verbatim.
-        if let Some(p) = prev {
-            if p.kind == frame.kind && p.payload == frame.payload {
-                duplicates_skipped += 1;
-                prev = Some(frame);
-                continue;
-            }
+        if prev.kind == frame.kind && prev.payload == frame.payload {
+            duplicates_skipped += 1;
+            continue;
         }
-        let (step, row) = decode_observations(frame, config.lanes)?;
+        let (step, row) =
+            decode_observations(frame.payload, config.lanes).map_err(|e| e.at(frame.offset))?;
         if step != steps.len() as u64 {
             return Err(PersistError::NonContiguousStep {
                 offset: frame.offset,
@@ -330,7 +321,7 @@ pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents, PersistError> {
             });
         }
         steps.push(row);
-        prev = Some(frame);
+        prev = frame;
     }
     Ok(JournalContents {
         config,
@@ -345,7 +336,8 @@ pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::frame_offsets;
+    use crate::format::tests::store_frame;
+    use crate::format::{frame_offsets, WIRE};
 
     fn cfg() -> FleetConfig {
         FleetConfig {
@@ -407,6 +399,13 @@ mod tests {
         assert_eq!(parsed.steps.len(), 1);
         assert!(parsed.torn_tail);
         assert!(parsed.clean_len < cut as u64);
+        // A wire frame appended to a journal is foreign bytes at the
+        // tail: dropped as torn, never read as a step.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let clean = bytes.len() as u64;
+        WIRE.append(&mut bytes, FrameKind::Observations as u8, |out| put_u64(out, 2));
+        let parsed = parse_journal(&bytes).unwrap();
+        assert_eq!((parsed.steps.len(), parsed.torn_tail, parsed.clean_len), (2, true, clean));
         std::fs::remove_file(&path).ok();
     }
 
@@ -447,7 +446,7 @@ mod tests {
 
     #[test]
     fn missing_header_is_an_error() {
-        let frame = encode_frame(FrameKind::Observations, &[0u8; 8]);
+        let frame = store_frame(FrameKind::Observations, &[0u8; 8]);
         assert!(matches!(parse_journal(&frame), Err(PersistError::MissingJournalHeader)));
         assert!(matches!(parse_journal(&[]), Err(PersistError::MissingJournalHeader)));
     }

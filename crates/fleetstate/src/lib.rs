@@ -7,7 +7,8 @@
 //!
 //! * **Snapshots** ([`snapshot`]): periodic full copies of a
 //!   [`state::FleetState`], appended to one file, each framed with
-//!   magic/version/length/CRC-32 ([`format`](mod@crate::format)).
+//!   magic/version/length/CRC-32 by [`format`](mod@crate::format), the
+//!   frame codec `fleetd`'s wire protocol shares.
 //! * **Write-ahead journal** ([`journal`]): every block of stop
 //!   observations is appended (and flushed) *before* the engine
 //!   processes it — a redo log.

@@ -13,7 +13,7 @@ use std::io::Write;
 use std::path::Path;
 
 use crate::error::{io_err, PersistError};
-use crate::format::{decode_frame_at, encode_frame, next_frame_probe, FrameKind};
+use crate::format::{walk_frames, FrameKind, HEADER_LEN, STORE, TRAILER_LEN};
 use crate::state::{decode_fleet_state, encode_fleet_state, FleetConfig, FleetState};
 
 /// Appends one snapshot frame to the file at `path` (creating it if
@@ -24,7 +24,8 @@ use crate::state::{decode_fleet_state, encode_fleet_state, FleetConfig, FleetSta
 /// [`PersistError::Io`] on filesystem failure.
 pub fn append_snapshot(path: &Path, state: &FleetState) -> Result<u64, PersistError> {
     let payload = encode_fleet_state(state);
-    let frame = encode_frame(FrameKind::Snapshot, &payload);
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    STORE.append(&mut frame, FrameKind::Snapshot as u8, |out| out.extend_from_slice(&payload));
     let mut file =
         OpenOptions::new().append(true).create(true).open(path).map_err(|e| io_err(path, &e))?;
     file.write_all(&frame).map_err(|e| io_err(path, &e))?;
@@ -51,29 +52,14 @@ pub struct SnapshotScan {
 pub fn scan_snapshots(bytes: &[u8], expected: &FleetConfig) -> SnapshotScan {
     let mut states = Vec::new();
     let mut rejected = 0u64;
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        match decode_frame_at(bytes, offset as u64) {
-            Ok(frame) => {
-                offset += frame.len as usize;
-                if frame.kind != FrameKind::Snapshot as u8 {
-                    rejected += 1;
-                    continue;
-                }
-                match decode_fleet_state(&frame.payload, frame.offset) {
-                    Ok(state) if expected.ensure_matches(&state.config).is_ok() => {
-                        states.push(state);
-                    }
-                    _ => rejected += 1,
-                }
-            }
-            Err(_) => {
-                rejected += 1;
-                match next_frame_probe(bytes, offset) {
-                    Some(r) => offset = r,
-                    None => break,
-                }
-            }
+    for frame in walk_frames(bytes) {
+        let state = frame
+            .filter(|f| f.kind == FrameKind::Snapshot as u8)
+            .and_then(|f| decode_fleet_state(f.payload, f.offset).ok())
+            .filter(|state| expected.ensure_matches(&state.config).is_ok());
+        match state {
+            Some(state) => states.push(state),
+            None => rejected += 1,
         }
     }
     SnapshotScan { states, rejected }
@@ -82,7 +68,8 @@ pub fn scan_snapshots(bytes: &[u8], expected: &FleetConfig) -> SnapshotScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{LaneSnapshot, Reader};
+    use crate::format::WIRE;
+    use crate::state::LaneSnapshot;
     use skirental::batch::LaneState;
     use std::path::PathBuf;
 
@@ -124,14 +111,6 @@ mod tests {
         dir.join(format!("{name}-{}", std::process::id()))
     }
 
-    // Exercise the pub(crate) Reader error path for coverage parity.
-    #[test]
-    fn reader_reports_overlong_payload() {
-        let mut r = Reader::new(&[0u8; 4], 3);
-        r.u8().unwrap();
-        assert!(matches!(r.finish(), Err(PersistError::BadPayload { offset: 3, .. })));
-    }
-
     #[test]
     fn append_then_scan_recovers_all() {
         let path = tmp("append");
@@ -158,6 +137,12 @@ mod tests {
         let scan = scan_snapshots(&bytes, &cfg());
         assert_eq!(scan.states.iter().map(|s| s.step).collect::<Vec<_>>(), vec![20]);
         assert_eq!(scan.rejected, 1);
+        // A wire frame carrying a valid snapshot payload is still rejected.
+        let payload = encode_fleet_state(&state_at(30));
+        WIRE.append(&mut bytes, FrameKind::Snapshot as u8, |out| out.extend_from_slice(&payload));
+        let scan = scan_snapshots(&bytes, &cfg());
+        assert_eq!(scan.states.iter().map(|s| s.step).collect::<Vec<_>>(), vec![20]);
+        assert_eq!(scan.rejected, 2);
         std::fs::remove_file(&path).ok();
     }
 

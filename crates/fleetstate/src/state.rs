@@ -12,6 +12,7 @@
 //! resumed run to match an uninterrupted one.
 
 use crate::error::PersistError;
+use crate::format::{put_f64, put_u32, put_u64, FrameError, Reader};
 use skirental::batch::LaneState;
 use skirental::degraded::LadderState;
 use skirental::estimator::{ControllerState, EstimatorState};
@@ -104,84 +105,12 @@ pub struct FleetState {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian write/read helpers.
+// FleetConfig codec (shared by snapshots, the journal header and the
+// fleetd handshake).
 // ---------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Cursor over a payload; every read failure maps to
-/// [`PersistError::BadPayload`] at the frame's offset.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    at: u64,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8], at: u64) -> Self {
-        Self { bytes, pos: 0, at }
-    }
-
-    fn short(&self) -> PersistError {
-        PersistError::BadPayload { offset: self.at, what: "payload shorter than declared" }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
-        let v = *self.bytes.get(self.pos).ok_or_else(|| self.short())?;
-        self.pos += 1;
-        Ok(v)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
-        let end = self.pos + 4;
-        let s = self.bytes.get(self.pos..end).ok_or_else(|| self.short())?;
-        self.pos = end;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
-        let end = self.pos + 8;
-        let s = self.bytes.get(self.pos..end).ok_or_else(|| self.short())?;
-        self.pos = end;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Bytes not yet consumed. Length/count fields read from the
-    /// payload are validated against this BEFORE any allocation is
-    /// sized from them — a corrupt (or adversarial) count must produce
-    /// a typed error, not a huge `Vec::with_capacity`.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    pub(crate) fn finish(&self) -> Result<(), PersistError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(PersistError::BadPayload { offset: self.at, what: "payload longer than declared" })
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// FleetConfig codec (shared by snapshots and the journal header).
-// ---------------------------------------------------------------------
-
-pub(crate) fn encode_config(out: &mut Vec<u8>, config: &FleetConfig) {
+/// Appends a [`FleetConfig`] payload field (40 bytes).
+pub fn encode_config(out: &mut Vec<u8>, config: &FleetConfig) {
     put_u32(out, config.lanes as u32);
     put_f64(out, config.break_even);
     put_u32(out, config.window.map_or(0, |w| w as u32));
@@ -190,7 +119,12 @@ pub(crate) fn encode_config(out: &mut Vec<u8>, config: &FleetConfig) {
     put_u64(out, config.trace_stream_base);
 }
 
-pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, PersistError> {
+/// Reads an [`encode_config`] field.
+///
+/// # Errors
+///
+/// [`FrameError::BadPayload`] if the payload ends early.
+pub fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, FrameError> {
     let lanes = r.u32()? as usize;
     let break_even = r.f64()?;
     let window = match r.u32()? {
@@ -242,7 +176,10 @@ pub fn encode_fleet_state(state: &FleetState) -> Vec<u8> {
 /// [`PersistError::BadPayload`] naming the offset if the payload is the
 /// wrong shape for its own configuration echo.
 pub fn decode_fleet_state(bytes: &[u8], at: u64) -> Result<FleetState, PersistError> {
-    let mut r = Reader::new(bytes, at);
+    read_fleet_state(Reader::new(bytes)).map_err(|e| e.at(at))
+}
+
+fn read_fleet_state(mut r: Reader<'_>) -> Result<FleetState, FrameError> {
     let config = decode_config(&mut r)?;
     let step = r.u64()?;
     let w = config.window.unwrap_or(0);
@@ -250,10 +187,7 @@ pub fn decode_fleet_state(bytes: &[u8], at: u64) -> Result<FleetState, PersistEr
     // before sizing any allocation from the (untrusted) lane count.
     let need = (config.lanes as u128) * (60 + 8 * w as u128);
     if need != r.remaining() as u128 {
-        return Err(PersistError::BadPayload {
-            offset: at,
-            what: "payload length does not match its configuration echo",
-        });
+        return Err(r.err("payload length does not match its configuration echo"));
     }
     let mut lanes = Vec::with_capacity(config.lanes);
     for _ in 0..config.lanes {
@@ -294,15 +228,6 @@ fn trust_to_u8(level: TrustLevel) -> u8 {
     }
 }
 
-fn trust_from_u8(v: u8, at: u64) -> Result<TrustLevel, PersistError> {
-    match v {
-        0 => Ok(TrustLevel::Full),
-        1 => Ok(TrustLevel::Degraded),
-        2 => Ok(TrustLevel::Untrusted),
-        _ => Err(PersistError::BadPayload { offset: at, what: "unknown trust level" }),
-    }
-}
-
 /// Encodes a scalar [`LadderState`] (degraded controller + wrapped
 /// adaptive controller + estimator) as a
 /// [`crate::format::FrameKind::ScalarSnapshot`] payload.
@@ -327,16 +252,8 @@ pub fn encode_ladder_state(state: &LadderState) -> Vec<u8> {
     }
     put_u64(&mut out, state.clean_streak as u64);
     put_u64(&mut out, state.since_valid as u64);
-    match state.last_bits {
-        Some(bits) => {
-            out.push(1);
-            put_u64(&mut out, bits);
-        }
-        None => {
-            out.push(0);
-            put_u64(&mut out, 0);
-        }
-    }
+    out.push(u8::from(state.last_bits.is_some()));
+    put_u64(&mut out, state.last_bits.unwrap_or(0));
     put_u64(&mut out, state.run_len as u64);
     put_u64(&mut out, state.counts.non_finite);
     put_u64(&mut out, state.counts.negative);
@@ -357,7 +274,10 @@ pub fn encode_ladder_state(state: &LadderState) -> Vec<u8> {
 /// [`PersistError::BadPayload`] naming the offset on a malformed
 /// payload.
 pub fn decode_ladder_state(bytes: &[u8], at: u64) -> Result<LadderState, PersistError> {
-    let mut r = Reader::new(bytes, at);
+    read_ladder_state(Reader::new(bytes)).map_err(|e| e.at(at))
+}
+
+fn read_ladder_state(mut r: Reader<'_>) -> Result<LadderState, FrameError> {
     let min_history = r.u32()? as usize;
     let window = match r.u32()? {
         0 => None,
@@ -367,34 +287,28 @@ pub fn decode_ladder_state(bytes: &[u8], at: u64) -> Result<LadderState, Persist
     let long_count = r.u64()? as usize;
     let buf_len = r.u32()? as usize;
     if buf_len.saturating_mul(8) > r.remaining() {
-        return Err(PersistError::BadPayload {
-            offset: at,
-            what: "estimator buffer length exceeds the payload",
-        });
+        return Err(r.err("estimator buffer length exceeds the payload"));
     }
     let mut buffer = Vec::with_capacity(buf_len);
     for _ in 0..buf_len {
         buffer.push(r.f64()?);
     }
-    let level = trust_from_u8(r.u8()?, at)?;
+    let level = match r.u8()? {
+        0 => TrustLevel::Full,
+        1 => TrustLevel::Degraded,
+        2 => TrustLevel::Untrusted,
+        _ => return Err(r.err("unknown trust level")),
+    };
     let recent_len = r.u32()? as usize;
     if recent_len > r.remaining() {
-        return Err(PersistError::BadPayload {
-            offset: at,
-            what: "anomaly window length exceeds the payload",
-        });
+        return Err(r.err("anomaly window length exceeds the payload"));
     }
     let mut recent = Vec::with_capacity(recent_len);
     for _ in 0..recent_len {
         recent.push(match r.u8()? {
             0 => false,
             1 => true,
-            _ => {
-                return Err(PersistError::BadPayload {
-                    offset: at,
-                    what: "anomaly window entry is not a boolean",
-                })
-            }
+            _ => return Err(r.err("anomaly window entry is not a boolean")),
         });
     }
     let clean_streak = r.u64()? as usize;
@@ -404,12 +318,7 @@ pub fn decode_ladder_state(bytes: &[u8], at: u64) -> Result<LadderState, Persist
     let last_bits = match has_last {
         0 => None,
         1 => Some(last_raw),
-        _ => {
-            return Err(PersistError::BadPayload {
-                offset: at,
-                what: "last-reading presence flag is not a boolean",
-            })
-        }
+        _ => return Err(r.err("last-reading presence flag is not a boolean")),
     };
     let run_len = r.u64()? as usize;
     let counts = skirental::degraded::AnomalyCounts {
