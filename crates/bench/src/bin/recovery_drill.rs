@@ -19,6 +19,14 @@
 //! state differs from the reference is silent corruption — the drill
 //! exits `1` and writes divergence artifacts.
 //!
+//! **Bounded recovery.** Every clean cut must replay exactly the
+//! journal frames written since its last snapshot. Then two journals
+//! that share the same tail past their last snapshot, one with 10× the
+//! uptime before it, must recover reading the same journal bytes and
+//! replaying the same frames; both recovery times are printed (they
+//! still differ by the snapshot-file scan, which is linear in the
+//! number of snapshots).
+//!
 //! A final throughput phase (skippable with `--skip-perf`) times the
 //! journaled engine on the perf gate's batched workload shape and
 //! enforces the checked-in `batch_stops_per_sec` floor divided by
@@ -56,6 +64,14 @@ const THREAD_CYCLE: [usize; 3] = [1, 2, 8];
 /// Chunk size pre-crash runs are fed in, so cuts land mid-journal with
 /// several snapshots already on disk.
 const PRE_CRASH_BLOCK: usize = 7;
+
+/// Bounded-recovery phase: the shorter uptime before the last snapshot
+/// (the longer one is 10× this), the snapshot cadence, and the tail the
+/// two journals share past their last snapshot.
+const BOUND_UPTIME: usize = 120;
+const BOUND_SNAPSHOT_EVERY: usize = 40;
+const BOUND_TAIL: usize = 25;
+const BOUND_REPS: usize = 3;
 
 /// Perf phase: the perf gate's batched workload shape, journaled.
 const PERF_STOPS_PER_VEHICLE: usize = 2_000;
@@ -300,6 +316,7 @@ fn main() -> ExitCode {
             }
         }
         let pre_records = tracer.drain_sorted();
+        let replay_debt = fleet.frames_since_snapshot();
         drop(fleet); // crash
 
         let (mut resumed, outcome) =
@@ -313,6 +330,15 @@ fn main() -> ExitCode {
             };
         if outcome.resumed_step != cut as u64 {
             eprintln!("FAIL: cut {cut}: resumed at step {} instead of {cut}", outcome.resumed_step);
+            cut_failures += 1;
+            continue;
+        }
+        if outcome.frames_replayed != replay_debt {
+            eprintln!(
+                "FAIL: cut {cut}: replayed {} frames, but only {replay_debt} were written since \
+                 the last snapshot",
+                outcome.frames_replayed
+            );
             cut_failures += 1;
             continue;
         }
@@ -432,7 +458,62 @@ fn main() -> ExitCode {
         reporter.meta(&format!("corruption_errors.{class}"), *n);
     }
 
-    // --- Phase 4: journaled throughput vs the perf-gate floor -------
+    // --- Phase 4: recovery cost follows the tail, not the uptime -----
+    let mut bounded = Vec::new();
+    for uptime in [BOUND_UPTIME, 10 * BOUND_UPTIME] {
+        let dir = work.join(format!("uptime-{uptime}"));
+        let rows = workload_rows(uptime + BOUND_TAIL);
+        let mut fleet = PersistentFleet::create(&dir, &config, 2, BOUND_SNAPSHOT_EVERY as u64)
+            .expect("work dir was writable above");
+        for chunk in rows[..uptime].chunks(BOUND_SNAPSHOT_EVERY) {
+            fleet.run_block(chunk, false).expect("golden rows are clean");
+        }
+        fleet.run_block(&rows[uptime..], false).expect("golden rows are clean");
+        drop(fleet);
+        let journal_bytes = std::fs::metadata(dir.join(JOURNAL_FILE)).map_or(0, |m| m.len());
+        // Recovering an undamaged store changes nothing on disk, so the
+        // best of a few runs is a fair time.
+        let mut secs = f64::INFINITY;
+        let mut recovered = None;
+        for _ in 0..BOUND_REPS {
+            let t = Instant::now();
+            recovered =
+                Some(recover_fleet(&dir.join(JOURNAL_FILE), &dir.join(SNAPSHOT_FILE), &config, 2));
+            secs = secs.min(t.elapsed().as_secs_f64());
+        }
+        match recovered.expect("BOUND_REPS > 0") {
+            Ok((_, outcome)) => {
+                println!(
+                    "bounded recovery: {uptime} steps before the last snapshot, {journal_bytes}-byte \
+                     journal: read {} bytes, replayed {} frames in {:.2} ms (best of {BOUND_REPS})",
+                    outcome.journal_bytes_read,
+                    outcome.frames_replayed,
+                    secs * 1e3
+                );
+                reporter.meta(&format!("bounded.uptime_{uptime}.recovery_s"), format!("{secs:.6}"));
+                bounded.push((outcome.journal_bytes_read, outcome.frames_replayed));
+            }
+            Err(e) => {
+                eprintln!("FAIL: bounded recovery of the {uptime}-step uptime errored: {e}");
+                failures += 1;
+            }
+        }
+    }
+    match bounded.as_slice() {
+        [short, long] if short == long && short.1 == BOUND_TAIL as u64 => {
+            println!("bounded recovery: both uptimes read and replay the same tail — PASS");
+        }
+        _ => {
+            eprintln!(
+                "FAIL: bounded recovery: (journal bytes read, frames replayed) differ with \
+                 uptime: {bounded:?}"
+            );
+            failures += 1;
+        }
+    }
+    reporter.meta("bounded.journal_bytes_read", bounded.first().map_or(0, |b| b.0));
+
+    // --- Phase 5: journaled throughput vs the perf-gate floor -------
     if !opts.skip_perf {
         let perf_rows = {
             let mut rng = StdRng::seed_from_u64(SEED + 211);

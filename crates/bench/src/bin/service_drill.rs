@@ -452,6 +452,16 @@ fn run(opts: &Options, reporter: &mut RunReporter) -> Result<(), String> {
     if snapshot_step > resumed as f64 {
         return Err(format!("snapshot step {snapshot_step} beyond resumed step {resumed}"));
     }
+    // Past a snapshot, recovery reads the journal's header and tail,
+    // not the whole file.
+    let bytes_read = gauge("fleetd_recovery_journal_bytes_read")?;
+    let journal_bytes = gauge("fleetd_journal_bytes")?;
+    if snapshot_step > 0.0 && bytes_read >= journal_bytes {
+        return Err(format!(
+            "recovery from the snapshot at step {snapshot_step} read {bytes_read} of the \
+             journal's {journal_bytes} bytes"
+        ));
+    }
     let frames_replayed = gauge("fleetd_recovery_frames_replayed")?;
     let torn = gauge("fleetd_recovery_torn_tail_dropped")?;
     if torn != 0.0 && torn != 1.0 {
@@ -468,9 +478,11 @@ fn run(opts: &Options, reporter: &mut RunReporter) -> Result<(), String> {
     }
     reporter.meta("drill.recovery_frames_replayed", frames_replayed as u64);
     reporter.meta("drill.recovery_torn_tail", torn as u64);
+    reporter.meta("drill.recovery_journal_bytes_read", bytes_read as u64);
     eprintln!(
         "service_drill: recovery gauges check out (snapshot {snapshot_step}, \
-         {frames_replayed} frames replayed, torn tail {torn})"
+         {frames_replayed} frames replayed, {bytes_read} of {journal_bytes} journal bytes read, \
+         torn tail {torn})"
     );
 
     // The risk series must be present on both sides of the crash and

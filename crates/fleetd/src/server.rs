@@ -308,55 +308,35 @@ pub fn serve(
         tracer.set_capacity((options.config.lanes * 8).max(1 << 16));
         tracer.enable();
     }
-    let (fleet, recovery) = if options.recover {
-        let (fleet, outcome) = PersistentFleet::recover(
-            &options.dir,
-            &options.config,
-            options.threads,
-            options.snapshot_every,
-        )
-        .map_err(|e| format!("recover {}: {e}", options.dir.display()))?;
-        (fleet, Some(outcome))
-    } else {
-        let journal = options.dir.join(JOURNAL_FILE);
-        if options.dir.exists() && journal.exists() {
-            return Err(format!(
-                "{} already holds a journal; pass recover to resume it (or point the daemon at a fresh directory)",
-                options.dir.display()
-            ));
-        }
-        let fleet = PersistentFleet::create(
-            &options.dir,
-            &options.config,
-            options.threads,
-            options.snapshot_every,
-        )
-        .map_err(|e| format!("create {}: {e}", options.dir.display()))?;
-        (fleet, None)
-    };
-
-    // The realized-CR sketches are derived state over the *whole*
-    // journal (a snapshot restores estimator state but replays no
-    // stops), so a recovered daemon rebuilds them by replaying the full
-    // journal through a throwaway engine with trace emission off — the
-    // risk counters are then monotone across the crash. The hub is
-    // reset/enabled only after `recover` so the journal-tail replay
-    // inside it cannot double-count.
+    if !options.recover && options.dir.join(JOURNAL_FILE).exists() {
+        return Err(format!(
+            "{} already holds a journal; pass recover to resume it (or point the daemon at a fresh directory)",
+            options.dir.display()
+        ));
+    }
+    // The realized-CR sketches are state the fleet carries: reset the
+    // hub and start recording before `create`/`recover`, so recovery
+    // seeds each lane's sketch from its restart point's checkpoint and
+    // the journal-tail replay records on top (a cold start replays, and
+    // so records, the whole journal). The risk counters are then
+    // monotone across a crash.
     let risk_hub = obsv::risk::global();
     risk_hub.reset();
     risk_hub.enable();
-    if recovery.is_some() {
-        let journal_path = options.dir.join(JOURNAL_FILE);
-        let bytes =
-            std::fs::read(&journal_path).map_err(|e| format!("{}: {e}", journal_path.display()))?;
-        let journal = fleetstate::parse_journal(&bytes)
-            .map_err(|e| format!("risk rebuild: {}: {e}", journal_path.display()))?;
-        let mut rebuild = fleetstate::FleetRunner::new(&options.config, options.threads)
-            .map_err(|e| format!("risk rebuild: {e}"))?;
-        for block in journal.steps.chunks(4096) {
-            rebuild.run_block(block, false).map_err(|e| format!("risk rebuild: {e}"))?;
-        }
-    }
+    let (dir, config) = (&options.dir, &options.config);
+    let opened = if options.recover {
+        PersistentFleet::recover(dir, config, options.threads, options.snapshot_every)
+            .map(|(fleet, outcome)| (fleet, Some(outcome)))
+            .map_err(|e| format!("recover {}: {e}", dir.display()))
+    } else {
+        PersistentFleet::create(dir, config, options.threads, options.snapshot_every)
+            .map(|fleet| (fleet, None))
+            .map_err(|e| format!("create {}: {e}", dir.display()))
+    };
+    let (fleet, recovery) = opened.map_err(|e| {
+        risk_hub.disable();
+        e
+    })?;
 
     let shared = Arc::new(Shared::new(options.config));
     shared.step.store(fleet.runner().step(), Ordering::Relaxed);
@@ -377,6 +357,7 @@ pub fn serve(
             "fleetd_recovery_torn_tail_dropped",
             f64::from(u8::from(outcome.torn_tail_dropped)),
         );
+        t.set_gauge("fleetd_recovery_journal_bytes_read", outcome.journal_bytes_read as f64);
     }
 
     let subscribers: Subscribers = Arc::new(Mutex::new(Vec::new()));
@@ -778,6 +759,9 @@ fn engine_loop(
                             t.journal_append.record_seconds(timing.journal_write_s);
                             t.journal_fsync.record_seconds(timing.journal_sync_s);
                             t.engine_decide.record_seconds(timing.decide_s);
+                            if timing.snapshot_error.is_some() {
+                                t.snapshot_failures.inc();
+                            }
                             publish_journal_gauges(t, &fleet);
                             shared.blocks_ingested.fetch_add(1, Ordering::Relaxed);
                             shared.step.store(fleet.runner().step(), Ordering::Relaxed);
@@ -824,7 +808,10 @@ fn engine_loop(
                     Ok(()) => {
                         Reply::Ack { info: format!("snapshot at step {}", fleet.runner().step()) }
                     }
-                    Err(e) => Reply::Error { message: e.to_string() },
+                    Err(e) => {
+                        shared.telemetry.snapshot_failures.inc();
+                        Reply::Error { message: e.to_string() }
+                    }
                 };
                 let _ = reply.send(answer);
                 broadcast(subscribers, shared);

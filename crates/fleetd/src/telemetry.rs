@@ -48,6 +48,9 @@ pub struct Telemetry {
     pub reply_write: LatencyHisto,
     /// Subscribers dropped for falling behind their bounded queue.
     pub subscriber_drops: Counter,
+    /// Snapshots that failed to write (the blocks that triggered them
+    /// were served all the same).
+    pub snapshot_failures: Counter,
     /// Journal file length in bytes (header + every appended frame).
     pub journal_bytes: Gauge,
     /// Journal frames written since the last accepted snapshot.
@@ -74,6 +77,7 @@ impl Telemetry {
             journal_fsync: stage(STAGE_HISTOGRAMS[4]),
             reply_write: stage(STAGE_HISTOGRAMS[5]),
             subscriber_drops: registry.counter("fleetd_subscriber_drops_total"),
+            snapshot_failures: registry.counter("fleetd_snapshot_failures_total"),
             journal_bytes: registry.gauge("fleetd_journal_bytes"),
             frames_since_snapshot: registry.gauge("fleetd_journal_frames_since_snapshot"),
             snapshot_age_steps: registry.gauge("fleetd_snapshot_age_steps"),

@@ -393,6 +393,11 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// What a [`STORE`] frame carries.
+///
+/// A journal file is one `JournalHeader` frame followed by
+/// `Observations` frames. A snapshot file holds `Snapshot` frames, each
+/// followed (in the same write) by the `Checkpoint` frame that makes it
+/// a restart point; recovery skips a snapshot without one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -404,6 +409,10 @@ pub enum FrameKind {
     Observations = 3,
     /// A scalar controller snapshot ([`skirental::degraded::LadderState`]).
     ScalarSnapshot = 4,
+    /// The companion of the `Snapshot` frame just before it
+    /// ([`crate::snapshot::Checkpoint`]): the journal's length at the
+    /// snapshot's step and the fleet's realized-CR sketches.
+    Checkpoint = 5,
 }
 
 /// One decoded [`STORE`] frame: its kind, payload, and location in the
@@ -426,7 +435,14 @@ pub struct Frame<'a> {
 ///
 /// The [`FrameSpec::decode`] error, named at `offset` by [`FrameError::at`].
 pub fn decode_frame_at(bytes: &[u8], offset: u64) -> Result<Frame<'_>, PersistError> {
-    let (kind, payload) = STORE.decode(&bytes[offset as usize..]).map_err(|e| e.at(offset))?;
+    frame_in(bytes, offset as usize, 0)
+}
+
+/// Decodes the frame at `at` in `bytes`, a region of a file that starts
+/// at file offset `base`; the frame and any error carry file offsets.
+fn frame_in(bytes: &[u8], at: usize, base: u64) -> Result<Frame<'_>, PersistError> {
+    let offset = base + at as u64;
+    let (kind, payload) = STORE.decode(&bytes[at..]).map_err(|e| e.at(offset))?;
     Ok(Frame { kind, payload, offset, len: (HEADER_LEN + payload.len() + TRAILER_LEN) as u64 })
 }
 
@@ -435,8 +451,8 @@ pub fn decode_frame_at(bytes: &[u8], offset: u64) -> Result<Frame<'_>, PersistEr
 pub struct FrameScan<'a> {
     /// The valid frames, in file order.
     pub frames: Vec<Frame<'a>>,
-    /// Bytes of the clean prefix (everything before the first damage;
-    /// the whole file when undamaged).
+    /// File offset where the clean prefix ends (everything before the
+    /// first damage; the end of the file when undamaged).
     pub clean_len: u64,
     /// The error that stopped the walk at the file's tail, if any —
     /// `None` for a cleanly terminated file. A `Some` here means the
@@ -470,32 +486,40 @@ fn next_frame_probe(bytes: &[u8], from: usize) -> Option<usize> {
 /// [`PersistError::CorruptMidStream`] naming both the damaged offset and
 /// the offset where valid frames resume.
 pub fn scan_frames(bytes: &[u8]) -> Result<FrameScan<'_>, PersistError> {
+    scan_region(bytes, 0)
+}
+
+/// [`scan_frames`] over `bytes`, the region of a file that starts at
+/// file offset `base`: frame offsets, [`FrameScan::clean_len`] and
+/// errors are file offsets.
+pub(crate) fn scan_region(bytes: &[u8], base: u64) -> Result<FrameScan<'_>, PersistError> {
     let mut frames = Vec::new();
-    let mut offset = 0u64;
-    while (offset as usize) < bytes.len() {
-        match decode_frame_at(bytes, offset) {
+    let mut at = 0usize;
+    while at < bytes.len() {
+        match frame_in(bytes, at, base) {
             Ok(frame) => {
-                offset += frame.len;
+                at += frame.len as usize;
                 frames.push(frame);
             }
             Err(e) => {
                 // Distinguish torn tail from mid-stream damage: is there
                 // any *valid* frame after the damaged region?
-                let mut probe = offset as usize;
+                let mut probe = at;
                 while let Some(r) = next_frame_probe(bytes, probe) {
-                    if decode_frame_at(bytes, r as u64).is_ok() {
+                    if frame_in(bytes, r, base).is_ok() {
                         return Err(PersistError::CorruptMidStream {
-                            offset,
-                            resync_offset: r as u64,
+                            offset: base + at as u64,
+                            resync_offset: base + r as u64,
                         });
                     }
                     probe = r;
                 }
-                return Ok(FrameScan { frames, clean_len: offset, torn_tail: Some(e) });
+                let clean_len = base + at as u64;
+                return Ok(FrameScan { frames, clean_len, torn_tail: Some(e) });
             }
         }
     }
-    Ok(FrameScan { frames, clean_len: offset, torn_tail: None })
+    Ok(FrameScan { frames, clean_len: base + at as u64, torn_tail: None })
 }
 
 /// Walks `bytes` leniently: each valid frame as `Some`, and each

@@ -17,14 +17,16 @@
 //! typed error.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::error::{io_err, PersistError};
 use crate::format::{
-    put_f64, put_u64, scan_frames, FrameError, FrameKind, Reader, HEADER_LEN, STORE, TRAILER_LEN,
+    decode_frame_at, put_f64, put_u64, scan_frames, scan_region, Frame, FrameError, FrameKind,
+    Reader, HEADER_LEN, STORE, TRAILER_LEN,
 };
+use crate::snapshot::Checkpoint;
 use crate::state::{decode_config, encode_config, FleetConfig};
 
 /// Wall-clock cost of one [`Journal::append_block_timed`] call, split
@@ -235,11 +237,14 @@ impl Journal {
     }
 }
 
-/// A fully parsed journal.
+/// A parsed journal: the whole of it from [`parse_journal`], or the
+/// tail past a checkpoint when recovery reads only that.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalContents {
     /// The configuration echo from the header frame.
     pub config: FleetConfig,
+    /// The step of `steps[0]` (0 for a whole journal).
+    pub first_step: u64,
     /// One row of observations per recorded step, in step order.
     pub steps: Vec<Vec<f64>>,
     /// Whether a torn tail was dropped.
@@ -252,6 +257,8 @@ pub struct JournalContents {
     /// Valid frames in the clean prefix (header included, duplicates
     /// included).
     pub frames: u64,
+    /// Journal bytes read to parse it.
+    pub bytes_read: u64,
 }
 
 /// Appends one [`FrameKind::Observations`] frame: the step, then the
@@ -276,6 +283,16 @@ fn decode_observations(payload: &[u8], lanes: usize) -> Result<(u64, Vec<f64>), 
     Ok((step, row))
 }
 
+/// Decodes a [`FrameKind::JournalHeader`] frame's configuration echo.
+fn decode_header(frame: &Frame<'_>) -> Result<FleetConfig, PersistError> {
+    if frame.kind != FrameKind::JournalHeader as u8 {
+        return Err(PersistError::MissingJournalHeader);
+    }
+    let mut r = Reader::new(frame.payload);
+    let config = decode_config(&mut r).and_then(|c| r.finish().map(|()| c));
+    config.map_err(|e| e.at(frame.offset))
+}
+
 /// Parses journal bytes: header first, then observation frames in strict
 /// step order. A byte-identical consecutive duplicate frame is skipped
 /// and counted; a torn tail is dropped and flagged.
@@ -290,46 +307,102 @@ fn decode_observations(payload: &[u8], lanes: usize) -> Result<(u64, Vec<f64>), 
 /// payload.
 pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents, PersistError> {
     let scan = scan_frames(bytes)?;
-    let mut frames = scan.frames.iter();
-    let header = match frames.next() {
-        Some(f) if f.kind == FrameKind::JournalHeader as u8 => f,
-        _ => return Err(PersistError::MissingJournalHeader),
-    };
-    let mut r = Reader::new(header.payload);
-    let config = decode_config(&mut r).and_then(|c| r.finish().map(|()| c));
-    let config = config.map_err(|e| e.at(header.offset))?;
-    let mut steps: Vec<Vec<f64>> = Vec::new();
+    let header = scan.frames.first().ok_or(PersistError::MissingJournalHeader)?;
+    let config = decode_header(header)?;
+    let (steps, duplicates_skipped) = parse_steps(&scan.frames[1..], config.lanes, 0)?;
+    Ok(JournalContents {
+        config,
+        first_step: 0,
+        steps,
+        torn_tail: scan.torn_tail.is_some(),
+        duplicates_skipped,
+        clean_len: scan.clean_len,
+        frames: scan.frames.len() as u64,
+        bytes_read: bytes.len() as u64,
+    })
+}
+
+/// The observation rows of `frames`, which must start at step
+/// `first_step` and count up by one; a byte-identical repeat of the
+/// previous frame is skipped and counted. Returns the rows and the
+/// number of repeats skipped.
+fn parse_steps(
+    frames: &[Frame<'_>],
+    lanes: usize,
+    first_step: u64,
+) -> Result<(Vec<Vec<f64>>, u64), PersistError> {
+    let mut steps: Vec<Vec<f64>> = Vec::with_capacity(frames.len());
     let mut duplicates_skipped = 0u64;
-    let mut prev = header;
+    let mut prev: Option<&Frame<'_>> = None;
     for frame in frames {
         if frame.kind != FrameKind::Observations as u8 {
             return Err(PersistError::UnknownFrameKind { offset: frame.offset, kind: frame.kind });
         }
         // A retried append interrupted between the write and the
         // bookkeeping leaves the previous frame repeated verbatim.
-        if prev.kind == frame.kind && prev.payload == frame.payload {
+        if prev.is_some_and(|p| p.payload == frame.payload) {
             duplicates_skipped += 1;
             continue;
         }
         let (step, row) =
-            decode_observations(frame.payload, config.lanes).map_err(|e| e.at(frame.offset))?;
-        if step != steps.len() as u64 {
+            decode_observations(frame.payload, lanes).map_err(|e| e.at(frame.offset))?;
+        let expected = first_step + steps.len() as u64;
+        if step != expected {
             return Err(PersistError::NonContiguousStep {
                 offset: frame.offset,
-                expected: steps.len() as u64,
+                expected,
                 found: step,
             });
         }
         steps.push(row);
-        prev = frame;
+        prev = Some(frame);
     }
-    Ok(JournalContents {
+    Ok((steps, duplicates_skipped))
+}
+
+/// The journal past `checkpoint`, reading only the header frame and the
+/// bytes from the checkpoint's offset to the end of the file.
+///
+/// The first frame at the offset must be step `checkpoint.step`, which
+/// proves the offset is the frame boundary the checkpoint recorded; the
+/// frames after it parse by the [`parse_journal`] rules. With no whole
+/// frame past the offset, the bytes there must be empty or one torn
+/// frame that opens with the frame magic. Damage wholly before the
+/// offset is not read, so not seen. `None` when anything does not match
+/// — the caller then parses the whole journal, which names the error.
+pub(crate) fn read_tail(
+    path: &Path,
+    expected: &FleetConfig,
+    checkpoint: &Checkpoint,
+) -> Option<JournalContents> {
+    let offset = checkpoint.journal_offset;
+    let mut file = File::open(path).ok()?;
+    let len = file.metadata().ok()?.len();
+    let header = STORE.read_frame(&mut file).ok()??;
+    let header_len = header.len() as u64;
+    let config = decode_header(&decode_frame_at(&header, 0).ok()?).ok()?;
+    expected.ensure_matches(&config).ok()?;
+    if !(header_len..=len).contains(&offset) {
+        return None;
+    }
+    file.seek(SeekFrom::Start(offset)).ok()?;
+    let mut bytes = Vec::with_capacity((len - offset) as usize);
+    file.read_to_end(&mut bytes).ok()?;
+    let scan = scan_region(&bytes, offset).ok()?;
+    if scan.frames.is_empty() && !(bytes.is_empty() || bytes.starts_with(&STORE.magic)) {
+        return None;
+    }
+    let (steps, duplicates_skipped) =
+        parse_steps(&scan.frames, config.lanes, checkpoint.step).ok()?;
+    Some(JournalContents {
         config,
+        first_step: checkpoint.step,
         steps,
         torn_tail: scan.torn_tail.is_some(),
         duplicates_skipped,
         clean_len: scan.clean_len,
-        frames: scan.frames.len() as u64,
+        frames: checkpoint.journal_frames + scan.frames.len() as u64,
+        bytes_read: header_len + bytes.len() as u64,
     })
 }
 

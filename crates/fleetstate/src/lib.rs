@@ -8,18 +8,23 @@
 //! * **Snapshots** ([`snapshot`]): periodic full copies of a
 //!   [`state::FleetState`], appended to one file, each framed with
 //!   magic/version/length/CRC-32 by [`format`](mod@crate::format), the
-//!   frame codec `fleetd`'s wire protocol shares.
+//!   frame codec `fleetd`'s wire protocol shares, and each followed by a
+//!   [`snapshot::Checkpoint`]: the journal offset at the snapshot's step
+//!   and the lanes' realized-CR sketch digests.
 //! * **Write-ahead journal** ([`journal`]): every block of stop
 //!   observations is appended (and flushed) *before* the engine
 //!   processes it — a redo log.
 //!
-//! Recovery ([`recovery`]) = newest valid snapshot + journal-tail
-//! replay, and is **bit-identical**: the resumed fleet's state, costs,
-//! RNG positions, and decision trace are byte-for-byte what an
-//! uninterrupted run would have produced, at any thread count. The
-//! tolerance envelope is exactly what a crash can cause (torn tail,
-//! duplicated append); anything else fails with a typed, offset-carrying
-//! [`PersistError`] — never by silently installing corrupt state.
+//! Recovery ([`recovery`]) = newest snapshot + checkpoint pair, then a
+//! replay of the journal tail past the checkpoint's offset (the only
+//! journal bytes it reads besides the header). It is **bit-identical**:
+//! the resumed fleet's state, costs, RNG positions, risk sketches and
+//! decision trace are byte-for-byte what an uninterrupted run would
+//! have produced, at any thread count. The tolerance envelope over the
+//! bytes it reads is exactly what a crash can cause (torn tail,
+//! duplicated append); anything else fails with a typed,
+//! offset-carrying [`PersistError`] — never by silently installing
+//! corrupt state.
 //! [`faults`] provides the storage fault injector the recovery drill
 //! uses to enforce that contract.
 //!
@@ -49,7 +54,7 @@ pub use recovery::{recover_fleet, replay_session, RecoveryOutcome};
 pub use runner::{
     BlockDecisions, BlockTiming, FleetRunner, PersistentFleet, JOURNAL_FILE, SNAPSHOT_FILE,
 };
-pub use snapshot::{append_snapshot, scan_snapshots, SnapshotScan};
+pub use snapshot::{append_snapshot, scan_snapshots, Checkpoint, SnapshotScan};
 pub use state::{
     decode_fleet_state, decode_ladder_state, encode_fleet_state, encode_ladder_state, FleetConfig,
     FleetState, LaneSnapshot,

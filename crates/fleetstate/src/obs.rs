@@ -37,3 +37,12 @@ pub(crate) fn metrics() -> &'static Metrics {
         }
     })
 }
+
+static SNAPSHOT_FAILURES: OnceLock<Counter> = OnceLock::new();
+
+/// `persist.snapshot_failures`: snapshots that failed to write. It is
+/// registered on the first failure, so a run without one exports the
+/// same counter set as before the counter existed.
+pub(crate) fn snapshot_failures() -> &'static Counter {
+    SNAPSHOT_FAILURES.get_or_init(|| obsv::global().counter("persist.snapshot_failures"))
+}

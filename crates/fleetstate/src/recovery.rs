@@ -1,29 +1,51 @@
-//! Crash recovery: latest valid snapshot + journal-tail replay.
+//! Crash recovery: newest restart point + journal-tail replay.
 //!
-//! Recovery is a pure function of the two files on disk. It either
+//! Recovery is a pure function of the two files on disk (and of
+//! whether the risk hub records, which only decides how far back it may
+//! start). It either
 //! returns a fleet whose state is **bit-identical** to the state an
 //! uninterrupted run would hold at the journal's last recorded step, or
 //! fails with a typed [`PersistError`] naming exactly what was wrong and
 //! where — it never silently installs corrupt state.
 //!
-//! The tolerance envelope is precisely what a crash can cause:
+//! A restart point is a snapshot plus the checkpoint written with it
+//! ([`crate::snapshot::Checkpoint`]). Recovery starts from the newest
+//! one and reads only the journal's header frame and the bytes past the
+//! checkpoint's offset, so its cost follows the work since that
+//! snapshot, not the uptime. While the [`obsv::risk`] hub records, the
+//! checkpoint's per-lane realized-CR digests seed the lanes' sketches
+//! and the tail replay records on top; a checkpoint saved without them
+//! is then not a restart point. With no restart point, recovery cold
+//! starts and replays the whole journal, which rebuilds the sketches
+//! from scratch.
+//!
+//! The tolerance envelope covers the bytes recovery reads, and is
+//! precisely what a crash can cause:
 //!
 //! * a **torn journal tail** (truncated or checksum-failing final frame,
 //!   nothing valid after it) is dropped cleanly and flagged;
 //! * a **byte-identical duplicate** journal frame (a retried append) is
 //!   skipped and counted;
-//! * **damaged or mismatched snapshots** are rejected and counted — any
-//!   older valid snapshot (or cold start) plus a longer replay
+//! * **damaged or mismatched snapshots**, and snapshots without their
+//!   checkpoint, are skipped (damaged and mismatched ones are counted) —
+//!   any older restart point (or cold start) plus a longer replay
 //!   substitutes for them.
 //!
 //! Everything else — mid-stream journal damage, skipped steps, a
 //! snapshot from the future of the journal — is an error, because no
-//! crash produces it and replaying around it would corrupt state.
+//! crash produces it and replaying around it would corrupt state. When
+//! the tail does not line up with the checkpoint (a missing or shifted
+//! frame at its offset, damage, a snapshot past the tail's end),
+//! recovery parses the whole journal from byte 0 and reports what that
+//! strict parse finds. Damage wholly before the checkpoint's offset is
+//! not read, so not seen; the state recovery installs still comes only
+//! from checksummed frames. [`replay_session`] reads the whole history
+//! and stays strict about all of it.
 
 use std::path::Path;
 
 use crate::error::{io_err, PersistError};
-use crate::journal::parse_journal;
+use crate::journal::{parse_journal, read_tail, JournalContents};
 use crate::runner::FleetRunner;
 use crate::snapshot::scan_snapshots;
 use crate::state::FleetConfig;
@@ -47,17 +69,23 @@ pub struct RecoveryOutcome {
     /// Valid frames in the journal's clean prefix (header and
     /// duplicates included) — bookkeeping for reopening the journal.
     pub journal_frames: u64,
+    /// Journal bytes recovery read: the header frame plus the tail past
+    /// the restart point's checkpoint, or the whole file when it had to
+    /// parse all of it.
+    pub journal_bytes_read: u64,
 }
 
 /// Recovers a fleet from its journal and snapshot files.
 ///
-/// Steps: read + parse the journal (config echo must match `expected`);
-/// leniently scan the snapshots; pick the newest valid snapshot at or
-/// before the journal's end; truncate the journal file to its clean
-/// prefix; restore (or cold-start) a [`FleetRunner`] and replay the
-/// journal tail **without emitting trace events** — the pre-crash run
-/// already emitted them, so the merged trace equals an uninterrupted
-/// run's.
+/// Steps: leniently scan the snapshots and pick the newest restart
+/// point (a snapshot with its checkpoint, carrying risk digests while
+/// the risk hub records); read the journal tail past it, or, when the
+/// tail does not line up, read + parse the whole journal (config echo
+/// must match `expected`); truncate the journal file to its clean
+/// prefix; restore (or cold-start) a [`FleetRunner`], seed its risk
+/// sketches, and replay the journal tail **without emitting trace
+/// events** — the pre-crash run already emitted them, so the merged
+/// trace equals an uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -78,30 +106,37 @@ pub fn recover_fleet(
     expected: &FleetConfig,
     threads: usize,
 ) -> Result<(FleetRunner, RecoveryOutcome), PersistError> {
-    let journal_bytes = std::fs::read(journal_path).map_err(|e| io_err(journal_path, &e))?;
-    let journal = parse_journal(&journal_bytes)?;
-    expected.ensure_matches(&journal.config)?;
-    let journal_steps = journal.steps.len() as u64;
-
+    // An unreadable snapshot file scans as empty; its error surfaces
+    // after the journal's own, as the strict parse orders them.
     let snapshot_bytes = match std::fs::read(snapshot_path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(io_err(snapshot_path, &e)),
+        Ok(b) => Ok(b),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(io_err(snapshot_path, &e)),
     };
-    let scan = scan_snapshots(&snapshot_bytes, expected);
-    if let Some(newest) = scan.states.iter().map(|s| s.step).max() {
-        if newest > journal_steps {
-            return Err(PersistError::SnapshotAheadOfJournal {
-                snapshot_step: newest,
-                journal_steps,
-            });
-        }
-    }
-    let best = scan.states.iter().max_by_key(|s| s.step);
+    let scan = scan_snapshots(snapshot_bytes.as_deref().unwrap_or_default(), expected);
+    let newest = scan.states.iter().map(|s| s.step).max();
+    let risk = obsv::risk::active();
+    let best = scan
+        .states
+        .iter()
+        .zip(&scan.checkpoints)
+        .filter_map(|(state, checkpoint)| {
+            Some((state, checkpoint.as_ref().filter(|c| !risk || c.risk.is_some())?))
+        })
+        .max_by_key(|(state, _)| state.step);
+
+    let fast = best
+        .and_then(|(_, checkpoint)| read_tail(journal_path, expected, checkpoint))
+        .filter(|tail| newest.map_or(true, |n| n <= tail.first_step + tail.steps.len() as u64));
+    let journal = match fast {
+        Some(tail) => tail,
+        None => read_journal(journal_path, expected, snapshot_bytes.map(drop), newest)?,
+    };
+    let journal_steps = journal.first_step + journal.steps.len() as u64;
 
     // Drop the torn tail on disk too, so the reopened journal appends
     // cleanly after the last valid frame.
-    if journal.clean_len < journal_bytes.len() as u64 {
+    if journal.torn_tail {
         let file = std::fs::OpenOptions::new()
             .write(true)
             .open(journal_path)
@@ -111,10 +146,16 @@ pub fn recover_fleet(
     }
 
     let (mut runner, snapshot_step) = match best {
-        Some(state) => (FleetRunner::from_state(state, threads)?, state.step),
+        Some((state, checkpoint)) => {
+            let mut runner = FleetRunner::from_state(state, threads)?;
+            if let Some(digests) = &checkpoint.risk {
+                runner.add_risk(digests);
+            }
+            (runner, state.step)
+        }
         None => (FleetRunner::new(expected, threads)?, 0),
     };
-    let tail = &journal.steps[snapshot_step as usize..];
+    let tail = &journal.steps[(snapshot_step - journal.first_step) as usize..];
     runner.run_block(tail, false)?;
     debug_assert_eq!(runner.step(), journal_steps);
 
@@ -126,6 +167,7 @@ pub fn recover_fleet(
         duplicates_skipped: journal.duplicates_skipped,
         snapshots_rejected: scan.rejected,
         journal_frames: journal.frames,
+        journal_bytes_read: journal.bytes_read,
     };
     let m = crate::obs::metrics();
     m.recoveries.inc();
@@ -148,6 +190,26 @@ pub fn recover_fleet(
         });
     }
     Ok((runner, outcome))
+}
+
+/// The strict path: reads and parses the whole journal, checks its
+/// configuration echo, then `snapshots` (the snapshot file's read), and
+/// rejects a `newest` snapshot past the journal's end.
+fn read_journal(
+    path: &Path,
+    expected: &FleetConfig,
+    snapshots: Result<(), PersistError>,
+    newest: Option<u64>,
+) -> Result<JournalContents, PersistError> {
+    let bytes = std::fs::read(path).map_err(|e| io_err(path, &e))?;
+    let journal = parse_journal(&bytes)?;
+    expected.ensure_matches(&journal.config)?;
+    snapshots?;
+    let journal_steps = journal.steps.len() as u64;
+    if let Some(snapshot_step) = newest.filter(|&n| n > journal_steps) {
+        return Err(PersistError::SnapshotAheadOfJournal { snapshot_step, journal_steps });
+    }
+    Ok(journal)
 }
 
 /// Steps per replay block in [`replay_session`] — bounds transient
@@ -256,6 +318,70 @@ mod tests {
             encode_fleet_state(&recovered.export_state()),
             encode_fleet_state(&reference.export_state())
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_reads_only_the_tail_past_the_newest_checkpoint() {
+        let dir = tmp("tail");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = cfg(5);
+        let block = rows(5, 38, 6);
+        // Snapshots land at steps 12, 24 and 30.
+        let mut fleet = PersistentFleet::create(&dir, &config, 2, 10).unwrap();
+        for chunk in block.chunks(6) {
+            fleet.run_block(chunk, false).unwrap();
+        }
+        drop(fleet);
+        // Tear the last frame, step 37.
+        let jp = dir.join(JOURNAL_FILE);
+        let bytes = std::fs::read(&jp).unwrap();
+        let offsets = crate::format::frame_offsets(&bytes);
+        let (header, frame) = (offsets[0].1, offsets[1].1);
+        std::fs::write(&jp, &bytes[..bytes.len() - 5]).unwrap();
+
+        let (recovered, outcome) =
+            recover_fleet(&jp, &dir.join(SNAPSHOT_FILE), &config, 3).unwrap();
+        assert_eq!((outcome.resumed_step, outcome.snapshot_step), (37, 30));
+        assert_eq!((outcome.frames_replayed, outcome.journal_frames), (7, 38));
+        assert!(outcome.torn_tail_dropped);
+        // The header frame, and everything from step 30's frame on.
+        assert_eq!(outcome.journal_bytes_read, header + 8 * frame - 5);
+        assert_eq!(std::fs::metadata(&jp).unwrap().len(), header + 37 * frame);
+        let mut reference = FleetRunner::new(&config, 1).unwrap();
+        reference.run_block(&block[..37], false).unwrap();
+        assert_eq!(
+            encode_fleet_state(&recovered.export_state()),
+            encode_fleet_state(&reference.export_state())
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_offset_shifted_mid_frame_is_not_taken_for_a_torn_tail() {
+        let dir = tmp("shifted");
+        std::fs::remove_dir_all(&dir).ok();
+        // Six lanes: a step frame (72 bytes) outgrows the header (52).
+        let config = cfg(6);
+        // The snapshot at step 8 ends the journal: nothing lies past its
+        // checkpoint's offset.
+        let mut fleet = PersistentFleet::create(&dir, &config, 1, 4).unwrap();
+        fleet.run_block(&rows(6, 8, 5), false).unwrap();
+        drop(fleet);
+        // A second header frame after the first shifts every step frame,
+        // so the offset now lands inside step 7's frame, at bytes that
+        // parse as no frame at all.
+        let jp = dir.join(JOURNAL_FILE);
+        let bytes = std::fs::read(&jp).unwrap();
+        let header = crate::format::frame_offsets(&bytes)[0].1 as usize;
+        let shifted = [&bytes[..header], &bytes[..header], &bytes[header..]].concat();
+        std::fs::write(&jp, &shifted).unwrap();
+        // The whole-journal parse names the damage; nothing is truncated.
+        assert!(matches!(
+            recover_fleet(&jp, &dir.join(SNAPSHOT_FILE), &config, 1),
+            Err(PersistError::UnknownFrameKind { offset, kind: 2 }) if offset == header as u64
+        ));
+        assert_eq!(std::fs::read(&jp).unwrap(), shifted);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,14 +21,14 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use obsv::risk::CrSketch;
+use obsv::risk::{CrSketch, SketchDigest};
 use skirental::batch::{BatchConfig, CounterRng, ShardEngine, ShardPlan, VertexKind};
 use skirental::BreakEven;
 
 use crate::error::{io_err, PersistError};
 use crate::journal::{check_rows, AppendTiming, Journal};
 use crate::recovery::{recover_fleet, RecoveryOutcome};
-use crate::snapshot::append_snapshot;
+use crate::snapshot::{append_frames, Checkpoint};
 use crate::state::{FleetConfig, FleetState, LaneSnapshot};
 
 /// One shard's per-lane realized-CR sketches, cached from the global
@@ -242,6 +242,31 @@ impl FleetRunner {
         (on, off)
     }
 
+    /// Every lane's realized-CR digest, in lane order, read through the
+    /// cached hub handles; `None` while the risk hub is off.
+    pub(crate) fn risk_digests(&mut self) -> Option<Vec<SketchDigest>> {
+        let trace_base = self.config.trace_stream_base;
+        let mut digests = Vec::with_capacity(self.config.lanes);
+        for (shard, risk) in self.shards.iter().zip(&mut self.risk) {
+            digests.extend(risk.refresh(shard, trace_base)?.iter().map(|s| s.digest()));
+        }
+        Some(digests)
+    }
+
+    /// Adds `digests[lane]` into each lane's hub sketch, the inverse of
+    /// [`FleetRunner::risk_digests`]; a no-op while the risk hub is off.
+    pub(crate) fn add_risk(&mut self, digests: &[SketchDigest]) {
+        let trace_base = self.config.trace_stream_base;
+        for (shard, risk) in self.shards.iter().zip(&mut self.risk) {
+            let base = shard.base();
+            for (sketch, digest) in
+                risk.refresh(shard, trace_base).into_iter().flatten().zip(&digests[base..])
+            {
+                sketch.add_digest(digest);
+            }
+        }
+    }
+
     /// Processes a block of steps, time-major: `rows[t][i]` is lane
     /// `i`'s stop duration at step `self.step() + t`. With `emit` set
     /// (and a tracer active), every stop emits a
@@ -398,9 +423,10 @@ fn run_shard(
 }
 
 /// Where the wall time of one [`PersistentFleet::run_block_decided_timed`]
-/// call went. Measurement-only: state evolution, journal bytes, and the
-/// canonical trace are identical whether or not a caller looks at this.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// call went, and whether its snapshot failed. Measurement-only: state
+/// evolution, journal bytes, and the canonical trace are identical
+/// whether or not a caller looks at this.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockTiming {
     /// Journal buffered-write seconds (see [`AppendTiming::write_s`]).
     pub journal_write_s: f64,
@@ -410,6 +436,10 @@ pub struct BlockTiming {
     pub decide_s: f64,
     /// Whether this block crossed a snapshot boundary and snapshotted.
     pub snapshotted: bool,
+    /// Why the snapshot this block was due for failed. The block itself
+    /// was journaled and decided all the same; the next boundary tries
+    /// again.
+    pub snapshot_error: Option<PersistError>,
 }
 
 /// A [`FleetRunner`] wrapped with crash safety: a write-ahead journal of
@@ -549,6 +579,10 @@ impl PersistentFleet {
     /// The clock reads bracket existing calls — they never change what
     /// is journaled, decided, or traced.
     ///
+    /// A failed snapshot does not fail the block, which is journaled and
+    /// decided by then: it is reported in
+    /// [`BlockTiming::snapshot_error`] instead.
+    ///
     /// # Errors
     ///
     /// Same as [`PersistentFleet::run_block_decided`].
@@ -564,26 +598,43 @@ impl PersistentFleet {
         let decisions = self.runner.run_checked_block_decided(rows, emit)?;
         let decide_s = decide_start.elapsed().as_secs_f64();
         let after = self.runner.step();
-        let mut snapshotted = false;
+        let mut timing = BlockTiming {
+            journal_write_s: write_s,
+            journal_sync_s: sync_s,
+            decide_s,
+            ..BlockTiming::default()
+        };
         if self.snapshot_every > 0 && after / self.snapshot_every > before / self.snapshot_every {
-            self.snapshot()?;
-            snapshotted = true;
+            match self.snapshot() {
+                Ok(()) => timing.snapshotted = true,
+                Err(e) => timing.snapshot_error = Some(e),
+            }
         }
-        let timing =
-            BlockTiming { journal_write_s: write_s, journal_sync_s: sync_s, decide_s, snapshotted };
         Ok((decisions, timing))
     }
 
-    /// Takes a snapshot of the current state now, appending it to the
-    /// snapshot file and emitting a checkpoint trace event (on the
-    /// configuration's meta stream) plus `persist.*` counters.
+    /// Takes a snapshot of the current state now, appending it and its
+    /// [`Checkpoint`] (the journal's length now, and the lanes' risk
+    /// digests when the hub records) to the snapshot file, and emitting
+    /// a checkpoint trace event (on the configuration's meta stream)
+    /// plus `persist.*` counters.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on filesystem failure.
+    /// [`PersistError::Io`] on filesystem failure, also counted in
+    /// `persist.snapshot_failures`.
     pub fn snapshot(&mut self) -> Result<(), PersistError> {
         let state = self.runner.export_state();
-        let bytes = append_snapshot(&self.snapshot_path, &state)?;
+        let checkpoint = Checkpoint {
+            step: state.step,
+            journal_offset: self.journal.bytes_written(),
+            journal_frames: self.journal.frames_written(),
+            risk: self.runner.risk_digests(),
+        };
+        let bytes = append_frames(&self.snapshot_path, &state, Some(&checkpoint)).map_err(|e| {
+            crate::obs::snapshot_failures().inc();
+            e
+        })?;
         let m = crate::obs::metrics();
         m.snapshots_written.inc();
         m.snapshot_bytes.add(bytes);
@@ -818,6 +869,30 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_snapshot_is_reported_and_retried_at_the_next_boundary() {
+        let dir = std::env::temp_dir()
+            .join("fleetstate-runner-tests")
+            .join(format!("snapshot-fails-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = cfg(3, Some(4));
+        let block = rows(3, 12, 2);
+        let mut fleet = PersistentFleet::create(&dir, &config, 1, 4).unwrap();
+        std::fs::create_dir(dir.join(SNAPSHOT_FILE)).unwrap();
+        let (_, timing) = fleet.run_block_decided_timed(&block[..5], false).unwrap();
+        assert!(!timing.snapshotted);
+        assert!(matches!(timing.snapshot_error, Some(PersistError::Io { .. })));
+        assert_eq!((fleet.runner().step(), fleet.last_snapshot_step()), (5, 0));
+        // The cadence is unchanged: the next boundary tries again.
+        std::fs::remove_dir(dir.join(SNAPSHOT_FILE)).unwrap();
+        let (_, timing) = fleet.run_block_decided_timed(&block[5..7], false).unwrap();
+        assert_eq!((timing.snapshotted, timing.snapshot_error), (false, None));
+        let (_, timing) = fleet.run_block_decided_timed(&block[7..], false).unwrap();
+        assert_eq!((timing.snapshotted, timing.snapshot_error), (true, None));
+        assert_eq!(fleet.last_snapshot_step(), 12);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -134,7 +134,7 @@ pub enum TraceEvent {
         lanes: u64,
         /// Journal frames written so far (including the header).
         journal_frames: u64,
-        /// Encoded snapshot frame size, bytes.
+        /// Bytes appended: the snapshot frame and its checkpoint frame.
         bytes: u64,
     },
     /// The persistence layer recovered a fleet from disk: latest valid

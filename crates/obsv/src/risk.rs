@@ -182,6 +182,19 @@ impl CrSketch {
         }
     }
 
+    /// Adds a digest's bucket counts into `self` — integer addition, so
+    /// a sketch restored from a saved digest and then recorded on top
+    /// equals one that recorded every sample. Bucket indices past the
+    /// overflow bucket (never produced by [`CrSketch::digest`]) are
+    /// ignored.
+    pub fn add_digest(&self, digest: &SketchDigest) {
+        for &(index, count) in &digest.buckets {
+            if let Some(bucket) = self.buckets.get(index as usize) {
+                bucket.fetch_add(count, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// An immutable copy of the sketch's state, ready for queries and
     /// serialization.
     #[must_use]
@@ -665,6 +678,16 @@ mod tests {
         // Sketch-level merge agrees too.
         a.merge(&b);
         assert_eq!(a.digest(), both.digest());
+        // So does adding a saved digest, the way a restart restores one.
+        let restored = CrSketch::new();
+        restored.add_digest(&b.digest());
+        restored.add_digest(&SketchDigest { count: 1, buckets: vec![(BOUND_COUNT as u32 + 1, 1)] });
+        for (i, v) in [1.0, 1.5, 2.0, 3.0, 7.0, 100.0, f64::INFINITY].iter().enumerate() {
+            if i % 2 == 0 {
+                restored.record_cr(*v);
+            }
+        }
+        assert_eq!(restored.digest(), both.digest());
     }
 
     #[test]

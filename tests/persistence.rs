@@ -11,22 +11,28 @@
 //!   a typed `PersistError`.
 //! * A block with a bad stop or width is rejected before the journal
 //!   writes a byte: the fleet keeps going and recovers as if the block
-//!   had never been sent.
+//!   had never been sent. A snapshot that fails after its block was
+//!   journaled does not fail the block.
+//! * Recovery starts from the newest snapshot + checkpoint pair and
+//!   reads only the journal tail past it; when the pair or the tail
+//!   does not line up, it falls back to an older pair, a cold start or
+//!   the whole journal, and ends in the same state.
 //!
 //! Property-based where the state space is wide; deterministic for the
 //! exhaustive cut sweep.
 
 use automotive_idling::fleetstate::format::frame_offsets;
 use automotive_idling::fleetstate::{
-    decode_fleet_state, decode_ladder_state, encode_fleet_state, encode_ladder_state, FleetConfig,
-    FleetRunner, Journal, PersistError, PersistentFleet, JOURNAL_FILE, SNAPSHOT_FILE,
+    append_snapshot, decode_fleet_state, decode_ladder_state, encode_fleet_state,
+    encode_ladder_state, scan_snapshots, FleetConfig, FleetRunner, Journal, PersistError,
+    PersistentFleet, RecoveryOutcome, JOURNAL_FILE, SNAPSHOT_FILE,
 };
 use automotive_idling::skirental::batch::CounterRng;
 use automotive_idling::skirental::degraded::{DegradationConfig, DegradedController};
 use automotive_idling::skirental::BreakEven;
 use obsv::TraceRecord;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn b28() -> BreakEven {
     BreakEven::new(28.0).unwrap()
@@ -382,13 +388,162 @@ fn bad_stop_block_is_rejected_before_the_journal_and_the_fleet_recovers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot that fails after its block was journaled and decided does
+/// not fail the block: the decisions come back, the step advances, and
+/// the client's next block is accepted.
+#[test]
+fn failed_snapshot_keeps_the_block_that_triggered_it() {
+    let config = FleetConfig {
+        lanes: 3,
+        break_even: 28.0,
+        window: Some(5),
+        min_history: 2,
+        seed: 17,
+        trace_stream_base: 0,
+    };
+    let workload = rows(3, 12, 17);
+    let dir = std::env::temp_dir()
+        .join("persistence-test")
+        .join(format!("snapshot-fails-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut fleet = PersistentFleet::create(&dir, &config, 1, 4).unwrap();
+    // A directory where the snapshot file belongs: every append fails.
+    std::fs::create_dir(dir.join(SNAPSHOT_FILE)).unwrap();
+    let (decisions, _) = fleet.run_block_decided_timed(&workload[..6], false).unwrap();
+    assert_eq!(decisions.steps(), 6);
+    assert_eq!((fleet.runner().step(), fleet.last_snapshot_step()), (6, 0));
+    fleet.run_block(&workload[6..], false).unwrap();
+    assert_eq!(fleet.journal().steps_recorded(), 12);
+    drop(fleet);
+
+    std::fs::remove_dir(dir.join(SNAPSHOT_FILE)).unwrap();
+    let (recovered, outcome) = PersistentFleet::recover(&dir, &config, 2, 4).unwrap();
+    assert_eq!((outcome.resumed_step, outcome.snapshot_step), (12, 0));
+    let mut whole = FleetRunner::new(&config, 1).unwrap();
+    whole.run_block(&workload, false).unwrap();
+    assert_eq!(
+        encode_fleet_state(&recovered.runner().export_state()),
+        encode_fleet_state(&whole.export_state())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crashed journaled run for the recovery tests below: 51 steps fed
+/// 4 at a time with a snapshot (and its checkpoint) every 8 steps, so
+/// the newest restart point is step 48 and the one before it step 40.
+fn crashed_run(name: &str) -> (PathBuf, FleetConfig, Vec<Vec<f64>>) {
+    let config = FleetConfig {
+        lanes: 5,
+        break_even: 28.0,
+        window: Some(6),
+        min_history: 2,
+        seed: 29,
+        trace_stream_base: 0,
+    };
+    let workload = rows(5, 51, 13);
+    let dir = std::env::temp_dir()
+        .join("persistence-test")
+        .join(format!("{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut fleet = PersistentFleet::create(&dir, &config, 2, 8).unwrap();
+    for chunk in workload.chunks(4) {
+        fleet.run_block(chunk, false).unwrap();
+    }
+    drop(fleet);
+    (dir, config, workload)
+}
+
+/// Recovers `dir` and checks its state bit for bit against an
+/// uninterrupted run of the whole `workload`.
+fn recover_whole_run(dir: &Path, config: &FleetConfig, workload: &[Vec<f64>]) -> RecoveryOutcome {
+    let (recovered, outcome) = PersistentFleet::recover(dir, config, 3, 8).unwrap();
+    assert_eq!(outcome.resumed_step, workload.len() as u64);
+    let mut whole = FleetRunner::new(config, 2).unwrap();
+    whole.run_block(workload, false).unwrap();
+    assert_eq!(
+        encode_fleet_state(&recovered.runner().export_state()),
+        encode_fleet_state(&whole.export_state())
+    );
+    std::fs::remove_dir_all(dir).ok();
+    outcome
+}
+
+/// Recovery reads only the journal's header and the tail past the
+/// newest checkpoint, so zeroing every byte between the two changes
+/// nothing.
+#[test]
+fn zeroed_journal_before_the_newest_checkpoint_is_not_read() {
+    let (dir, config, workload) = crashed_run("zeroed");
+    let path = dir.join(JOURNAL_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Frame k + 1 holds step k: step 48's frame starts at the offset the
+    // newest checkpoint recorded.
+    let offsets = frame_offsets(&bytes);
+    bytes[offsets[0].1 as usize..offsets[49].0 as usize].fill(0);
+    std::fs::write(&path, &bytes).unwrap();
+    let outcome = recover_whole_run(&dir, &config, &workload);
+    assert_eq!((outcome.snapshot_step, outcome.frames_replayed), (48, 3));
+}
+
+/// A damaged checkpoint unpairs its snapshot: recovery starts from the
+/// pair before it and replays a longer tail to the same state.
+#[test]
+fn damaged_newest_checkpoint_falls_back_to_the_previous_pair() {
+    let (dir, config, workload) = crashed_run("checkpoint-flip");
+    let path = dir.join(SNAPSHOT_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let (offset, len) = *frame_offsets(&bytes).last().unwrap();
+    bytes[(offset + len / 2) as usize] ^= 0x04;
+    std::fs::write(&path, &bytes).unwrap();
+    let outcome = recover_whole_run(&dir, &config, &workload);
+    assert_eq!((outcome.snapshot_step, outcome.frames_replayed), (40, 11));
+    assert_eq!(outcome.snapshots_rejected, 1);
+}
+
+/// Snapshots without checkpoints, the layout `append_snapshot` writes
+/// alone, are not restart points: recovery cold-starts and replays the
+/// whole journal to the same state.
+#[test]
+fn snapshots_without_checkpoints_cold_start() {
+    let (dir, config, workload) = crashed_run("no-checkpoints");
+    let path = dir.join(SNAPSHOT_FILE);
+    let scan = scan_snapshots(&std::fs::read(&path).unwrap(), &config);
+    assert_eq!(scan.states.iter().map(|s| s.step).collect::<Vec<_>>(), [8, 16, 24, 32, 40, 48]);
+    std::fs::remove_file(&path).unwrap();
+    for state in &scan.states {
+        append_snapshot(&path, state).unwrap();
+    }
+    let outcome = recover_whole_run(&dir, &config, &workload);
+    assert_eq!((outcome.snapshot_step, outcome.frames_replayed), (0, 51));
+    assert_eq!(outcome.snapshots_rejected, 0);
+}
+
+/// A duplicate frame injected before the checkpoint's offset shifts the
+/// tail off it: recovery notices, parses the whole journal, which skips
+/// the duplicate, and still ends in the same state.
+#[test]
+fn duplicate_before_the_checkpoint_offset_falls_back_to_the_whole_journal() {
+    let (dir, config, workload) = crashed_run("duplicate");
+    let path = dir.join(JOURNAL_FILE);
+    let bytes = std::fs::read(&path).unwrap();
+    let (offset, len) = frame_offsets(&bytes)[21];
+    let end = (offset + len) as usize;
+    let mut shifted = bytes[..end].to_vec();
+    shifted.extend_from_slice(&bytes[offset as usize..]);
+    std::fs::write(&path, &shifted).unwrap();
+    let outcome = recover_whole_run(&dir, &config, &workload);
+    assert_eq!((outcome.snapshot_step, outcome.frames_replayed), (48, 3));
+    assert_eq!(outcome.duplicates_skipped, 1);
+    assert_eq!(outcome.journal_bytes_read, shifted.len() as u64);
+}
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Golden on-disk bytes: a fixed two-step run writes exactly this
-/// journal `Observations` frame and a snapshot frame with exactly this
-/// length and CRC-32 trailer. Recovery round-trips cannot catch a
+/// journal `Observations` frame, a snapshot frame with exactly this
+/// length and CRC-32 trailer, and exactly this checkpoint frame. Recovery round-trips cannot catch a
 /// checksum (or codec) change made on both the writing and the reading
 /// side; these constants can.
 #[test]
@@ -427,5 +582,19 @@ fn golden_journal_and_snapshot_frames() {
     let snapshots = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
     let snapshot = frame_at(&snapshots, 0);
     assert_eq!((snapshot.len(), hex(&snapshot[snapshot.len() - 4..]).as_str()), (336, "5518f748"));
+    // Frame 1 is the snapshot's checkpoint: its step, the journal's
+    // length and frame count then, and "risk not recorded".
+    let checkpoint = frame_at(&snapshots, 1);
+    assert_eq!(
+        hex(&checkpoint),
+        concat!(
+            "464c53540100050019000000", // header: magic, version, kind 5, payload length
+            "0200000000000000",         // step 2
+            "9400000000000000",         // journal offset: 148 bytes
+            "0300000000000000",         // journal frames: header + 2 steps
+            "00",                       // risk not recorded
+            "b56af586",                 // CRC-32 trailer
+        )
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
