@@ -24,8 +24,11 @@ fn usage() -> ExitCode {
          \n\
          Starts fresh in DIR (refusing an existing journal) unless --recover,\n\
          which resumes the journaled state bit-identically.\n\
+         --threads N runs at most N engine threads; blocks under {w}\n\
+         decisions per thread run on the engine thread.\n\
          --telemetry-addr serves GET /metrics (Prometheus text exposition)\n\
-         and GET /healthz over plain HTTP."
+         and GET /healthz over plain HTTP.",
+        w = skirental::parallel::DECISIONS_PER_WORKER
     );
     ExitCode::from(2)
 }

@@ -42,5 +42,5 @@ pub mod telemetry;
 
 pub use client::{Client, SessionRecorder};
 pub use proto::{Reply, Request, StatsInfo, WireError};
-pub use server::{serve, ServeOptions, ServerHandle, Started};
+pub use server::{serve, ServeError, ServeOptions, ServerHandle, Started};
 pub use telemetry::{Telemetry, STAGE_HISTOGRAMS};

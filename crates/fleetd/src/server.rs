@@ -75,12 +75,14 @@ pub struct ServeOptions {
     pub dir: PathBuf,
     /// The fleet configuration.
     pub config: FleetConfig,
-    /// Engine shard threads.
+    /// At most this many engine threads (must be positive). Blocks under
+    /// [`skirental::parallel::DECISIONS_PER_WORKER`] decisions per
+    /// thread run on fewer, down to the engine thread alone.
     pub threads: usize,
     /// Snapshot cadence in steps (`0` = only on explicit request).
     pub snapshot_every: u64,
-    /// Ingest queue capacity, blocks. A full queue answers
-    /// [`Reply::Busy`].
+    /// Ingest queue capacity, blocks (must be positive). A full queue
+    /// answers [`Reply::Busy`].
     pub queue_capacity: usize,
     /// Emit canonical trace events through the global tracer (enables
     /// subscribe tails and `--record`; costs a per-stop record).
@@ -287,16 +289,83 @@ pub struct Started {
     pub telemetry_addr: Option<std::net::SocketAddr>,
 }
 
+/// Why [`serve`] did not start a daemon.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServeError {
+    /// A [`ServeOptions`] field is out of range. Nothing was touched.
+    BadOption {
+        /// The offending field and its constraint.
+        what: &'static str,
+    },
+    /// The persistence directory could not be opened or recovered, or a
+    /// listener could not be bound. Any process-global observability
+    /// `serve` switched on has been switched back off.
+    Start(String),
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::BadOption { what } => write!(f, "bad option: {what}"),
+            Self::Start(why) => f.write_str(why),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+impl From<ServeError> for String {
+    fn from(e: ServeError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Starts the daemon: opens (or recovers) the persistent fleet in
 /// `options.dir`, binds `socket_path` (an existing socket file is
 /// replaced — the expected leftover of a SIGKILL), optionally binds a
 /// TCP listener, and spawns the engine + accept threads.
 ///
+/// The options are checked before anything process-wide changes, and a
+/// start that fails later switches the risk hub off and leaves the
+/// global tracer as it found it.
+///
 /// # Errors
 ///
-/// [`fleetstate::PersistError`] (stringified) on persistence failure or
-/// `std::io::Error` text on bind failure.
+/// [`ServeError::BadOption`] on `threads == 0` or `queue_capacity == 0`;
+/// [`ServeError::Start`] on a fresh start in a journaled directory,
+/// persistence failure ([`fleetstate::PersistError`] text) or bind
+/// failure (`std::io::Error` text).
 pub fn serve(
+    options: &ServeOptions,
+    socket_path: &Path,
+    tcp_addr: Option<&str>,
+) -> Result<Started, ServeError> {
+    if options.threads == 0 {
+        return Err(ServeError::BadOption { what: "threads (must be positive)" });
+    }
+    if options.queue_capacity == 0 {
+        return Err(ServeError::BadOption { what: "queue_capacity (must be positive)" });
+    }
+    if !options.recover && options.dir.join(JOURNAL_FILE).exists() {
+        return Err(ServeError::Start(format!(
+            "{} already holds a journal; pass recover to resume it (or point the daemon at a fresh directory)",
+            options.dir.display()
+        )));
+    }
+    let tracer_was_on = obsv::tracer::active();
+    start(options, socket_path, tcp_addr).map_err(|why| {
+        obsv::risk::global().disable();
+        if !tracer_was_on {
+            obsv::tracer::global().disable();
+        }
+        ServeError::Start(why)
+    })
+}
+
+/// [`serve`] past its option checks: switches the process-global risk
+/// hub (and, with `emit_trace`, the tracer) on, then opens the fleet and
+/// starts the threads.
+fn start(
     options: &ServeOptions,
     socket_path: &Path,
     tcp_addr: Option<&str>,
@@ -304,15 +373,10 @@ pub fn serve(
     if options.emit_trace {
         let tracer = obsv::tracer::global();
         // Capacity covers the largest block between drains; the engine
-        // drains after every block.
+        // drains after every block. On before the fleet opens, so a
+        // recovery's event reaches the meta stream.
         tracer.set_capacity((options.config.lanes * 8).max(1 << 16));
         tracer.enable();
-    }
-    if !options.recover && options.dir.join(JOURNAL_FILE).exists() {
-        return Err(format!(
-            "{} already holds a journal; pass recover to resume it (or point the daemon at a fresh directory)",
-            options.dir.display()
-        ));
     }
     // The realized-CR sketches are state the fleet carries: reset the
     // hub and start recording before `create`/`recover`, so recovery
@@ -333,10 +397,7 @@ pub fn serve(
             .map(|fleet| (fleet, None))
             .map_err(|e| format!("create {}: {e}", dir.display()))
     };
-    let (fleet, recovery) = opened.map_err(|e| {
-        risk_hub.disable();
-        e
-    })?;
+    let (fleet, recovery) = opened?;
 
     let shared = Arc::new(Shared::new(options.config));
     shared.step.store(fleet.runner().step(), Ordering::Relaxed);
@@ -360,6 +421,19 @@ pub fn serve(
         t.set_gauge("fleetd_recovery_journal_bytes_read", outcome.journal_bytes_read as f64);
     }
 
+    // Every listener binds before any thread starts, so a failed bind
+    // leaves nothing running.
+    if socket_path.exists() {
+        std::fs::remove_file(socket_path)
+            .map_err(|e| format!("remove stale socket {}: {e}", socket_path.display()))?;
+    }
+    let listener = UnixListener::bind(socket_path)
+        .map_err(|e| format!("bind {}: {e}", socket_path.display()))?;
+    listener.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
+    let tcp = tcp_addr.map(bind_tcp).transpose()?;
+    let http = options.telemetry_addr.as_deref().map(bind_tcp).transpose()?;
+    let telemetry_addr = http.as_ref().and_then(|http| http.local_addr().ok());
+
     let subscribers: Subscribers = Arc::new(Mutex::new(Vec::new()));
     let (jobs_tx, jobs_rx) = std::sync::mpsc::sync_channel(options.queue_capacity);
 
@@ -373,63 +447,15 @@ pub fn serve(
             .map_err(|e| format!("spawn engine thread: {e}"))?
     };
 
-    if socket_path.exists() {
-        std::fs::remove_file(socket_path)
-            .map_err(|e| format!("remove stale socket {}: {e}", socket_path.display()))?;
-    }
-    let listener = UnixListener::bind(socket_path)
-        .map_err(|e| format!("bind {}: {e}", socket_path.display()))?;
-    listener.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
-
     let mut accept = Vec::new();
-    {
-        let shared = Arc::clone(&shared);
-        let subscribers = Arc::clone(&subscribers);
-        let jobs = jobs_tx.clone();
-        let capacity = options.queue_capacity;
-        accept.push(
-            std::thread::Builder::new()
-                .name("fleetd-accept-unix".to_string())
-                .spawn(move || {
-                    accept_loop(
-                        || listener.accept().map(|(s, _)| Conn::Unix(s)),
-                        &shared,
-                        &subscribers,
-                        &jobs,
-                        capacity,
-                    );
-                })
-                .map_err(|e| format!("spawn accept thread: {e}"))?,
-        );
+    let unix = move || listener.accept().map(|(s, _)| Conn::Unix(s));
+    let capacity = options.queue_capacity;
+    accept.push(spawn_accept_loop("unix", unix, &shared, &subscribers, &jobs_tx, capacity)?);
+    if let Some(tcp) = tcp {
+        let tcp = move || tcp.accept().map(|(s, _)| Conn::Tcp(s));
+        accept.push(spawn_accept_loop("tcp", tcp, &shared, &subscribers, &jobs_tx, capacity)?);
     }
-    if let Some(addr) = tcp_addr {
-        let tcp = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        tcp.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
-        let shared = Arc::clone(&shared);
-        let subscribers = Arc::clone(&subscribers);
-        let jobs = jobs_tx.clone();
-        let capacity = options.queue_capacity;
-        accept.push(
-            std::thread::Builder::new()
-                .name("fleetd-accept-tcp".to_string())
-                .spawn(move || {
-                    accept_loop(
-                        || tcp.accept().map(|(s, _)| Conn::Tcp(s)),
-                        &shared,
-                        &subscribers,
-                        &jobs,
-                        capacity,
-                    );
-                })
-                .map_err(|e| format!("spawn accept thread: {e}"))?,
-        );
-    }
-
-    let mut telemetry_addr = None;
-    if let Some(addr) = options.telemetry_addr.as_deref() {
-        let http = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        http.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
-        telemetry_addr = http.local_addr().ok();
+    if let Some(http) = http {
         let shared = Arc::clone(&shared);
         let subscribers = Arc::clone(&subscribers);
         let capacity = options.queue_capacity;
@@ -452,6 +478,13 @@ pub fn serve(
         recovery,
         telemetry_addr,
     })
+}
+
+/// A non-blocking TCP listener on `addr`.
+fn bind_tcp(addr: &str) -> Result<std::net::TcpListener, String> {
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    listener.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
+    Ok(listener)
 }
 
 /// Either transport, unified for the connection handler.
@@ -494,15 +527,34 @@ impl Write for Conn {
     }
 }
 
-fn accept_loop<F>(
+/// Spawns the `fleetd-accept-{transport}` thread: it hands each
+/// connection `accept` yields to a connection thread of its own until
+/// shutdown.
+fn spawn_accept_loop<F>(
+    transport: &str,
     mut accept: F,
     shared: &Arc<Shared>,
     subscribers: &Subscribers,
     jobs: &SyncSender<EngineJob>,
     queue_capacity: usize,
-) where
-    F: FnMut() -> std::io::Result<Conn>,
+) -> Result<JoinHandle<()>, String>
+where
+    F: FnMut() -> std::io::Result<Conn> + Send + 'static,
 {
+    let (shared, subscribers, jobs) = (Arc::clone(shared), Arc::clone(subscribers), jobs.clone());
+    std::thread::Builder::new()
+        .name(format!("fleetd-accept-{transport}"))
+        .spawn(move || accept_loop(&mut accept, &shared, &subscribers, &jobs, queue_capacity))
+        .map_err(|e| format!("spawn accept thread: {e}"))
+}
+
+fn accept_loop(
+    accept: &mut dyn FnMut() -> std::io::Result<Conn>,
+    shared: &Arc<Shared>,
+    subscribers: &Subscribers,
+    jobs: &SyncSender<EngineJob>,
+    queue_capacity: usize,
+) {
     // Acquire pairs with the engine's Release store: once the loop sees
     // shutdown it also sees the engine's final state.
     while !shared.shutdown.load(Ordering::Acquire) {
@@ -759,6 +811,9 @@ fn engine_loop(
                             t.journal_append.record_seconds(timing.journal_write_s);
                             t.journal_fsync.record_seconds(timing.journal_sync_s);
                             t.engine_decide.record_seconds(timing.decide_s);
+                            if timing.workers > 1 {
+                                t.fanout_blocks.inc();
+                            }
                             if timing.snapshot_error.is_some() {
                                 t.snapshot_failures.inc();
                             }

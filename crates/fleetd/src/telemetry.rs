@@ -51,6 +51,10 @@ pub struct Telemetry {
     /// Snapshots that failed to write (the blocks that triggered them
     /// were served all the same).
     pub snapshot_failures: Counter,
+    /// Blocks the engine fanned out to more than one worker thread
+    /// (large enough to pay for the spawn; see
+    /// [`skirental::parallel::plan_workers`]).
+    pub fanout_blocks: Counter,
     /// Journal file length in bytes (header + every appended frame).
     pub journal_bytes: Gauge,
     /// Journal frames written since the last accepted snapshot.
@@ -78,6 +82,7 @@ impl Telemetry {
             reply_write: stage(STAGE_HISTOGRAMS[5]),
             subscriber_drops: registry.counter("fleetd_subscriber_drops_total"),
             snapshot_failures: registry.counter("fleetd_snapshot_failures_total"),
+            fanout_blocks: registry.counter("fleetd_engine_fanout_blocks_total"),
             journal_bytes: registry.gauge("fleetd_journal_bytes"),
             frames_since_snapshot: registry.gauge("fleetd_journal_frames_since_snapshot"),
             snapshot_age_steps: registry.gauge("fleetd_snapshot_age_steps"),

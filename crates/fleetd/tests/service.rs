@@ -7,7 +7,7 @@
 
 use fleetd::client::{Client, ClientError, SessionRecorder};
 use fleetd::proto::Reply;
-use fleetd::server::{serve, ServeOptions};
+use fleetd::server::{serve, ServeError, ServeOptions};
 use fleetstate::{FleetConfig, FleetRunner};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -397,7 +397,10 @@ fn recovered_daemon_resumes_bit_identically() {
     let Err(err) = serve(&options(&dir, false), &socket, None) else {
         panic!("fresh start on a journaled directory must refuse");
     };
-    assert!(err.contains("already holds a journal"), "{err}");
+    assert!(
+        matches!(&err, ServeError::Start(why) if why.contains("already holds a journal")),
+        "{err}"
+    );
 
     // Second daemon: recover, check the step, ingest the second half.
     let mut opts = options(&dir, false);
@@ -413,4 +416,76 @@ fn recovered_daemon_resumes_bit_identically() {
     let got = client.export_state().unwrap();
     assert_eq!(got, want, "recovered + resumed state diverged from uninterrupted run");
     restarted.handle.stop();
+}
+
+/// Out-of-range options are refused with a typed error before anything
+/// process-wide changes, and a start that fails after switching the
+/// tracer and risk hub on switches them back off.
+#[test]
+fn bad_options_are_refused_without_a_panic_or_a_leaked_global() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    obsv::tracer::global().disable();
+    obsv::risk::global().disable();
+    let (dir, socket) = scratch("bad-options");
+    let idle = || !obsv::tracer::observing() && !obsv::risk::active();
+
+    let mut opts = options(&dir, true);
+    opts.threads = 0;
+    let err = serve(&opts, &socket, None).err().expect("threads 0 must be refused");
+    assert!(matches!(err, ServeError::BadOption { what } if what.starts_with("threads")), "{err}");
+    assert!(idle(), "a refused option must not switch globals on");
+
+    let mut opts = options(&dir, true);
+    opts.queue_capacity = 0;
+    let err = serve(&opts, &socket, None).err().expect("queue capacity 0 must be refused");
+    assert!(matches!(err, ServeError::BadOption { what } if what.starts_with("queue")), "{err}");
+    assert!(idle(), "a refused option must not switch globals on");
+    assert!(!dir.exists(), "a refused option must not create the fleet");
+
+    // Valid options, but the socket cannot be bound: the fleet opened
+    // and the globals were on by then.
+    let unbindable = dir.join("no-such-dir").join("fleetd.sock");
+    let err = serve(&options(&dir, true), &unbindable, None).err().expect("bind must fail");
+    assert!(matches!(&err, ServeError::Start(why) if why.starts_with("bind")), "{err}");
+    assert!(idle(), "a failed start must switch the tracer and risk hub back off");
+
+    // The journaled directory is now refused before any global moves.
+    let err = serve(&options(&dir, true), &socket, None).err().expect("journal exists");
+    assert!(matches!(err, ServeError::Start(_)), "{err}");
+    assert!(idle(), "a refused start must not switch globals on");
+}
+
+/// The daemon's default 64×1 traffic never fans a block out to a second
+/// engine thread; a block above two workers' worth of decisions does.
+#[test]
+fn fanout_counter_stays_zero_for_small_blocks() {
+    const WIDE: usize = 64;
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, socket) = scratch("fanout");
+    let mut opts = options(&dir, false);
+    opts.config.lanes = WIDE;
+    let started = serve(&opts, &socket, None).unwrap();
+    let mut client = Client::connect_unix(&socket).unwrap();
+    client.hello("it-fanout").unwrap();
+    let block = |first: u64, steps: usize| -> Vec<Vec<f64>> {
+        (0..steps)
+            .map(|t| {
+                (0..WIDE)
+                    .map(|lane| (((first as usize + t) * 31 + lane * 17) % 113) as f64)
+                    .collect()
+            })
+            .collect()
+    };
+    let fanned = |client: &mut Client| {
+        let scrape = obsv::telemetry::parse(&client.telemetry().unwrap()).unwrap();
+        scrape.counter("fleetd_engine_fanout_blocks_total")
+    };
+    for step in 0..20 {
+        client.submit(step, &block(step, 1)).unwrap();
+    }
+    assert_eq!(fanned(&mut client), Some(0.0), "64×1 blocks must run on the engine thread");
+    let steps = 2 * skirental::parallel::DECISIONS_PER_WORKER / WIDE + 1;
+    client.submit(20, &block(20, steps)).unwrap();
+    assert_eq!(fanned(&mut client), Some(1.0), "a {steps}-step block must fan out");
+    started.handle.stop();
 }

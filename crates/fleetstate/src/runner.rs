@@ -13,6 +13,14 @@
 //! export/restore/replay boundary — a resumed run's decision trace is
 //! byte-for-byte the trace the uninterrupted run would have written.
 //!
+//! The thread count fixes the shard partition, and caps the parallelism
+//! of a block: each block runs on
+//! [`skirental::parallel::plan_workers`] workers, one per
+//! `DECISIONS_PER_WORKER` decisions, through
+//! [`skirental::parallel::fan_out`]. The first worker is the calling
+//! thread, so a small block (a 64-lane daemon step) spawns nothing and
+//! runs every shard there in order.
+//!
 //! [`PersistentFleet`] wraps a runner with a write-ahead [`Journal`] and
 //! periodic snapshots: observations are journaled (and flushed) *before*
 //! the engine processes them, so a crash at any instant loses nothing
@@ -23,6 +31,7 @@ use std::sync::Arc;
 
 use obsv::risk::{CrSketch, SketchDigest};
 use skirental::batch::{BatchConfig, CounterRng, ShardEngine, ShardPlan, VertexKind};
+use skirental::parallel::{fan_out, plan_workers};
 use skirental::BreakEven;
 
 use crate::error::{io_err, PersistError};
@@ -143,7 +152,11 @@ fn validate_config(config: &FleetConfig) -> Result<BreakEven, PersistError> {
 }
 
 impl FleetRunner {
-    /// A cold-start fleet at step zero.
+    /// A cold-start fleet at step zero, its lanes partitioned into (at
+    /// most) `threads` shards. `threads` caps the workers a block runs
+    /// on; a block smaller than `threads` ×
+    /// [`skirental::parallel::DECISIONS_PER_WORKER`] decisions runs on
+    /// fewer.
     ///
     /// # Errors
     ///
@@ -284,7 +297,7 @@ impl FleetRunner {
     /// [`PersistError::Engine`] on a negative/non-finite stop.
     pub fn run_block(&mut self, rows: &[Vec<f64>], emit: bool) -> Result<(), PersistError> {
         check_rows(rows, self.config.lanes)?;
-        self.run_checked_block(rows, emit, None)
+        self.run_checked_block(rows, emit, None).map(|_| ())
     }
 
     /// [`FleetRunner::run_block`] that additionally captures every
@@ -304,70 +317,78 @@ impl FleetRunner {
         emit: bool,
     ) -> Result<BlockDecisions, PersistError> {
         check_rows(rows, self.config.lanes)?;
-        self.run_checked_block_decided(rows, emit)
+        self.run_checked_block_decided(rows, emit).map(|(decisions, _)| decisions)
     }
 
     /// [`FleetRunner::run_block_decided`] for a block that already passed
-    /// [`check_rows`] (the journal checks it before writing).
+    /// [`check_rows`] (the journal checks it before writing), with the
+    /// number of workers that ran it.
     fn run_checked_block_decided(
         &mut self,
         rows: &[Vec<f64>],
         emit: bool,
-    ) -> Result<BlockDecisions, PersistError> {
+    ) -> Result<(BlockDecisions, usize), PersistError> {
         let steps = rows.len();
         let lanes = self.config.lanes;
         let mut thresholds = vec![0.0f64; lanes * steps];
         let mut vertices = vec![VertexKind::ColdStart; lanes * steps];
-        self.run_checked_block(rows, emit, Some((&mut thresholds, &mut vertices)))?;
-        Ok(BlockDecisions { steps, lanes, thresholds, vertices })
+        let workers = self.run_checked_block(rows, emit, Some((&mut thresholds, &mut vertices)))?;
+        Ok((BlockDecisions { steps, lanes, thresholds, vertices }, workers))
     }
 
+    /// Runs a checked block on as many workers as its size pays for
+    /// ([`plan_workers`], capped by the shard count) and returns that
+    /// number. Each worker runs a contiguous group of shards in order,
+    /// the first group on the calling thread; errors surface in shard
+    /// order.
     fn run_checked_block(
         &mut self,
         rows: &[Vec<f64>],
         emit: bool,
         out: Option<(&mut [f64], &mut [VertexKind])>,
-    ) -> Result<(), PersistError> {
+    ) -> Result<usize, PersistError> {
         if rows.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         let steps = rows.len();
         let step0 = self.step;
         let trace_base = self.config.trace_stream_base;
-        // Shard 0 runs on the calling thread, the others on scoped
-        // threads; errors surface in shard order.
-        std::thread::scope(|scope| {
-            let mut rest = out;
-            let mut jobs = self.shards.iter_mut().zip(&mut self.risk).map(|(shard, risk)| {
-                // Each contiguous shard owns the contiguous lane-major
-                // output region of its lanes.
-                let (mine, remaining) = match rest.take() {
-                    Some((th, vx)) => {
-                        let (th_a, th_b) = th.split_at_mut(shard.lanes() * steps);
-                        let (vx_a, vx_b) = vx.split_at_mut(shard.lanes() * steps);
-                        (Some((th_a, vx_a)), Some((th_b, vx_b)))
-                    }
-                    None => (None, None),
-                };
-                rest = remaining;
-                (shard, risk, mine)
-            });
-            let first = jobs.next();
-            let handles: Vec<_> = jobs
-                .map(|(shard, risk, mine)| {
-                    scope.spawn(move || run_shard(shard, risk, rows, step0, trace_base, emit, mine))
-                })
-                .collect();
-            let first = first.map_or(Ok(()), |(shard, risk, mine)| {
-                run_shard(shard, risk, rows, step0, trace_base, emit, mine)
-            });
-            handles.into_iter().fold(first, |result, h| {
-                result.and(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            })
+        let lanes = self.config.lanes;
+        let workers = plan_workers(lanes, lanes * steps, self.shards.len());
+        let per_worker = self.shards.len().div_ceil(workers);
+        // Each contiguous group of shards owns the contiguous lane-major
+        // output region of its lanes.
+        let mut rest = out;
+        let groups = self.shards.chunks_mut(per_worker).zip(self.risk.chunks_mut(per_worker)).map(
+            |(engines, risks)| {
+                let group_lanes: usize = engines.iter().map(ShardEngine::lanes).sum();
+                let region = split_region(&mut rest, group_lanes * steps);
+                (engines, risks, region)
+            },
+        );
+        fan_out(groups, |(engines, risks, mut region)| {
+            for (engine, risk) in engines.iter_mut().zip(risks) {
+                let mine = split_region(&mut region, engine.lanes() * steps);
+                run_shard(engine, risk, rows, step0, trace_base, emit, mine)?;
+            }
+            Ok::<_, skirental::Error>(())
         })?;
-        self.step += rows.len() as u64;
-        Ok(())
+        self.step += steps as u64;
+        Ok(workers)
     }
+}
+
+/// Splits the first `len` entries off a lane-major output region,
+/// leaving the remainder in `region`; `None` when nothing is captured.
+fn split_region<'a>(
+    region: &mut Option<(&'a mut [f64], &'a mut [VertexKind])>,
+    len: usize,
+) -> Option<(&'a mut [f64], &'a mut [VertexKind])> {
+    let (th, vx) = region.take()?;
+    let (th, th_rest) = th.split_at_mut(len);
+    let (vx, vx_rest) = vx.split_at_mut(len);
+    *region = Some((th_rest, vx_rest));
+    Some((th, vx))
 }
 
 /// Runs one shard's engine through a block of steps. The hook captures
@@ -434,6 +455,10 @@ pub struct BlockTiming {
     pub journal_sync_s: f64,
     /// Decision-engine seconds for the block.
     pub decide_s: f64,
+    /// Workers the engine ran the block on: 1 (the calling thread
+    /// alone) unless the block is large enough to pay for a fan-out
+    /// (see [`skirental::parallel::plan_workers`]).
+    pub workers: usize,
     /// Whether this block crossed a snapshot boundary and snapshotted.
     pub snapshotted: bool,
     /// Why the snapshot this block was due for failed. The block itself
@@ -595,13 +620,14 @@ impl PersistentFleet {
         let AppendTiming { write_s, sync_s } = self.journal.append_block_timed(before, rows)?;
         crate::obs::metrics().journal_frames.add(rows.len() as u64);
         let decide_start = std::time::Instant::now();
-        let decisions = self.runner.run_checked_block_decided(rows, emit)?;
+        let (decisions, workers) = self.runner.run_checked_block_decided(rows, emit)?;
         let decide_s = decide_start.elapsed().as_secs_f64();
         let after = self.runner.step();
         let mut timing = BlockTiming {
             journal_write_s: write_s,
             journal_sync_s: sync_s,
             decide_s,
+            workers,
             ..BlockTiming::default()
         };
         if self.snapshot_every > 0 && after / self.snapshot_every > before / self.snapshot_every {

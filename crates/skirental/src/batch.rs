@@ -34,6 +34,9 @@
 //! crash-safe fleet runner (`fleetstate::FleetRunner`, which serves the
 //! daemon and recovery) keeps one engine per shard for its lifetime and
 //! its hook captures decisions, risk sketches, and per-stop trace events.
+//! Both size their fan-out from the work through
+//! [`crate::parallel::plan_workers`] and run it through
+//! [`crate::parallel::fan_out`].
 //!
 //! **Bit-identity.** Every floating-point expression in the kernel is
 //! copied verbatim from the scalar path (`MomentEstimator::stats`,
@@ -727,10 +730,9 @@ impl BatchStore {
 }
 
 /// The canonical contiguous shard layout of a fleet: `ceil(n / shards)`
-/// lanes per shard, the same layout [`crate::parallel::try_shard_map`]
-/// and [`run_fleet_batch`] use. The crash-safe fleet runner builds its
-/// shards through this so it agrees with [`run_fleet_batch`] on which
-/// global lane index lives in which shard.
+/// lanes per shard, the layout [`crate::parallel::try_shard_map`] uses
+/// for the same shard count. The crash-safe fleet runner partitions its
+/// lanes through this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     lanes: usize,
@@ -750,37 +752,8 @@ impl ShardPlan {
         Self { lanes, shard_size: lanes.div_ceil(max_shards) }
     }
 
-    /// Total lanes planned over.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Lanes per full shard (the final shard may be shorter).
-    #[must_use]
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
-    }
-
-    /// Number of non-empty shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.lanes.div_ceil(self.shard_size)
-    }
-
-    /// The shard holding global lane `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    #[must_use]
-    pub fn shard_of(&self, lane: usize) -> usize {
-        assert!(lane < self.lanes, "lane {lane} outside a {}-lane plan", self.lanes);
-        lane / self.shard_size
-    }
-
     /// `(base, len)` of every shard, in lane order. Bases are global
-    /// lane indices; the `len`s sum to [`ShardPlan::lanes`].
+    /// lane indices; the `len`s sum to the planned lanes.
     pub fn ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.lanes)
             .step_by(self.shard_size)
@@ -834,8 +807,9 @@ pub struct FleetBatchReport {
     /// Per-vehicle outcomes, in input order — bit-identical to the
     /// scalar reference ([`run_fleet_scalar`]) for any thread count.
     pub outcomes: Vec<AdaptiveOutcome>,
-    /// Per-shard digests (shard layout depends on the thread count; the
-    /// aggregate [`FleetBatchReport::vertex_totals`] does not).
+    /// Per-shard digests (shard layout depends on the thread count and
+    /// the fleet's size; the aggregate
+    /// [`FleetBatchReport::vertex_totals`] does not).
     pub digests: Vec<ShardDigest>,
 }
 
@@ -1145,10 +1119,13 @@ fn process_shard(
 }
 
 /// Runs the honest adaptive online loop over a whole fleet through the
-/// batched engine: vehicles are sharded contiguously across `threads`
-/// worker threads ([`crate::parallel::try_shard_map`]), each shard runs
-/// time-major through a [`ShardEngine`], and observability is flushed
-/// once per shard.
+/// batched engine: vehicles are sharded contiguously across at most
+/// `threads` workers ([`crate::parallel::try_shard_map`]), each shard
+/// runs time-major through a [`ShardEngine`], and observability is
+/// flushed once per shard. `threads` is a cap: the fleet's total stop
+/// count sizes the worker count through
+/// [`crate::parallel::plan_workers`], so a small fleet runs on the
+/// calling thread alone.
 ///
 /// Per-vehicle outcomes are **bit-identical** to [`run_fleet_scalar`]
 /// with the same config, for any thread count: the per-vehicle RNG
@@ -1174,7 +1151,9 @@ pub fn run_fleet_batch(
     if vehicle_stops.is_empty() || vehicle_stops.iter().any(Vec::is_empty) {
         return Err(Error::EmptyTrace);
     }
-    let shards = crate::parallel::try_shard_map(vehicle_stops, threads, |base, shard| {
+    let stops = vehicle_stops.iter().map(Vec::len).sum();
+    let workers = crate::parallel::plan_workers(vehicle_stops.len(), stops, threads);
+    let shards = crate::parallel::try_shard_map(vehicle_stops, workers, |base, shard| {
         process_shard(base, shard, break_even, cfg)
     })?;
     let mut outcomes = Vec::with_capacity(vehicle_stops.len());
@@ -1230,19 +1209,15 @@ mod tests {
     fn shard_plan_covers_every_lane_once() {
         for lanes in [1usize, 2, 7, 96, 100, 4096] {
             for shards in [1usize, 2, 3, 8, 64, 200] {
-                let plan = ShardPlan::new(lanes, shards);
-                assert!(plan.shard_count() <= shards.min(lanes));
+                let ranges: Vec<_> = ShardPlan::new(lanes, shards).ranges().collect();
+                assert!(ranges.len() <= shards.min(lanes));
                 let mut next = 0usize;
-                for (si, (base, len)) in plan.ranges().enumerate() {
+                for (base, len) in ranges {
                     assert_eq!(base, next);
                     assert!(len > 0);
-                    for lane in base..base + len {
-                        assert_eq!(plan.shard_of(lane), si);
-                    }
                     next = base + len;
                 }
                 assert_eq!(next, lanes);
-                assert_eq!(plan.lanes(), lanes);
             }
         }
     }

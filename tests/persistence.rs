@@ -428,6 +428,44 @@ fn failed_snapshot_keeps_the_block_that_triggered_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The engine sizes each block's fan-out from its work: a 64×1 daemon
+/// block runs on the calling thread alone, and a block above two
+/// workers' worth of decisions runs on both threads it may use.
+#[test]
+fn block_fan_out_follows_the_block_size() {
+    use automotive_idling::skirental::parallel::DECISIONS_PER_WORKER;
+    let config = FleetConfig {
+        lanes: 64,
+        break_even: 28.0,
+        window: Some(8),
+        min_history: 2,
+        seed: 31,
+        trace_stream_base: 0,
+    };
+    let dir = std::env::temp_dir()
+        .join("persistence-test")
+        .join(format!("fan-out-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut fleet = PersistentFleet::create(&dir, &config, 2, 0).unwrap();
+    let small = rows(64, 1, 3);
+    let (_, timing) = fleet.run_block_decided_timed(&small, false).unwrap();
+    assert_eq!(timing.workers, 1, "a 64×1 block must not fan out");
+    let steps = 2 * DECISIONS_PER_WORKER / 64 + 1;
+    let large = rows(64, steps, 5);
+    let (decided, timing) = fleet.run_block_decided_timed(&large, false).unwrap();
+    assert_eq!(timing.workers, 2, "a {}-decision block must use both threads", 64 * steps);
+
+    // Both paths decide what a one-thread runner decides.
+    let mut reference = FleetRunner::new(&config, 1).unwrap();
+    reference.run_block(&small, false).unwrap();
+    assert_eq!(reference.run_block_decided(&large, false).unwrap(), decided);
+    assert_eq!(
+        encode_fleet_state(&fleet.runner().export_state()),
+        encode_fleet_state(&reference.export_state())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A crashed journaled run for the recovery tests below: 51 steps fed
 /// 4 at a time with a snapshot (and its checkpoint) every 8 steps, so
 /// the newest restart point is step 48 and the one before it step 40.
