@@ -7,8 +7,9 @@
 //! point `c` in `0..=steps`, a fresh journaled run is crashed after `c`
 //! steps, recovered at a rotating thread count, and resumed; the merged
 //! pre-crash + post-recovery trace must equal the golden trace
-//! byte-for-byte, and the final fleet state must encode to the same
-//! bytes as the uninterrupted reference.
+//! byte-for-byte, the final fleet state must encode to the same bytes
+//! as the uninterrupted reference, and every lane's realized-CR risk
+//! digest must equal the reference's.
 //!
 //! **No silent corruption.** A seeded sweep of storage faults (torn
 //! writes, truncation, bit flips, duplicated frames, version skew,
@@ -246,6 +247,7 @@ fn main() -> ExitCode {
     println!("=== recovery drill: {VEHICLES} vehicles x {} steps ===", opts.steps);
     let mut golden: Option<String> = None;
     let mut reference_final = Vec::new();
+    let mut reference_risk = Vec::new();
     for &threads in &THREAD_CYCLE {
         tracer.clear();
         let mut runner = match FleetRunner::new(&config, threads) {
@@ -264,6 +266,7 @@ fn main() -> ExitCode {
             None => {
                 golden = Some(jsonl);
                 reference_final = encode_fleet_state(&runner.export_state());
+                reference_risk = runner.risk_digests();
             }
             Some(g) if *g == jsonl => {}
             Some(g) => {
@@ -366,11 +369,21 @@ fn main() -> ExitCode {
                  final state bytes diverge"
             );
             cut_failures += 1;
+            continue;
+        }
+        let risk = resumed.runner().risk_digests();
+        if let Some(lane) = risk.iter().zip(&reference_risk).position(|(got, want)| got != want) {
+            eprintln!(
+                "FAIL: cut {cut} ({pre_threads}->{post_threads} threads): state matches but \
+                 lane {lane}'s risk digest diverges"
+            );
+            cut_failures += 1;
         }
     }
     failures += cut_failures;
     println!(
-        "clean-cut sweep: {} cuts, threads rotating {:?}, {} failure(s) ({:.2} s)",
+        "clean-cut sweep: {} cuts (trace, state and per-lane risk digests), threads rotating \
+         {:?}, {} failure(s) ({:.2} s)",
         opts.steps + 1,
         THREAD_CYCLE,
         cut_failures,

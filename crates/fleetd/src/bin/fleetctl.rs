@@ -156,7 +156,7 @@ fn stats_json(info: &StatsInfo) -> String {
     put("journal_frames", Value::UInt(info.journal_frames));
     put("online_total", Value::float(info.online_total));
     put("offline_total", Value::float(info.offline_total));
-    let cr = obsv::dashboard::realized_cr(info.online_total, info.offline_total);
+    let cr = obsv::realized_cr(info.online_total, info.offline_total);
     put("realized_cr", Value::float(cr));
     Value::Obj(obj).to_string()
 }
@@ -172,7 +172,7 @@ fn print_stats(info: &StatsInfo) {
     println!("journal frames    {}", info.journal_frames);
     println!("online cost       {:.3}", info.online_total);
     println!("offline cost      {:.3}", info.offline_total);
-    let cr = obsv::dashboard::realized_cr(info.online_total, info.offline_total);
+    let cr = obsv::realized_cr(info.online_total, info.offline_total);
     println!("realized CR       {}", obsv::dashboard::fmt_cr(cr).trim_start());
 }
 
@@ -259,7 +259,7 @@ fn render_telemetry(scrape: &obsv::telemetry::Scrape, queue_history: &[f64]) -> 
 fn render_risk(scrape: &obsv::telemetry::Scrape, delta: f64) -> String {
     let samples = scrape.counter("fleet_cr_samples_total").unwrap_or(0.0);
     if samples <= 0.0 {
-        return "no risk telemetry (risk plane disabled or no stops decided yet)\n".to_string();
+        return "no risk telemetry (no stops decided yet)\n".to_string();
     }
     let cr = |v: Option<f64>| {
         v.map_or_else(|| "-".to_string(), |x| obsv::dashboard::fmt_cr(x).trim_start().to_string())

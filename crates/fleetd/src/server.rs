@@ -36,6 +36,12 @@
 //!   (Prometheus text exposition) and `GET /healthz`. Timing feeds
 //!   histograms only; it never touches the canonical trace, so the
 //!   byte-identity contract is unaffected.
+//! * **Risk series** (`fleet_cr_*`) are read at scrape time from the
+//!   fleet's own per-lane realized-CR sketches
+//!   ([`fleetstate::FleetRunner::risk_sketches`]), shared with the
+//!   engine thread that records them. Recovery restores them, so they
+//!   count every decision this daemon's fleet made since step 0, and
+//!   nothing else run in the same process.
 //!
 //! # Trace streams
 //!
@@ -49,7 +55,7 @@
 use crate::proto::{self, Reply, Request, StatsInfo};
 use crate::telemetry::Telemetry;
 use fleetstate::{FleetConfig, PersistError, PersistentFleet, RecoveryOutcome, JOURNAL_FILE};
-use obsv::{TraceEvent, TraceRecord};
+use obsv::{CrSketch, RiskReport, TraceEvent, TraceRecord};
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -138,7 +144,6 @@ enum EngineJob {
         reply: SyncSender<Reply>,
     },
     Replay {
-        client: u64,
         reply: SyncSender<Reply>,
     },
     Shutdown {
@@ -187,10 +192,13 @@ struct Shared {
     /// The daemon's metrics plane (its own registry — the process-wide
     /// [`obsv::global`] registry stays untouched).
     telemetry: Telemetry,
+    /// The fleet's per-lane realized-CR sketches, which the engine
+    /// thread records into; scrapes read them.
+    risk: Arc<[CrSketch]>,
 }
 
 impl Shared {
-    fn new(config: FleetConfig) -> Self {
+    fn new(config: FleetConfig, risk: Arc<[CrSketch]>) -> Self {
         Self {
             config,
             step: AtomicU64::new(0),
@@ -207,6 +215,7 @@ impl Shared {
             offline_bits: AtomicU64::new(0),
             journal_frames: AtomicU64::new(0),
             telemetry: Telemetry::new(),
+            risk,
         }
     }
 
@@ -265,9 +274,6 @@ impl ServerHandle {
         if let Some(engine) = self.engine.take() {
             let _ = engine.join();
         }
-        // Stop the (process-global) risk hub with the daemon so later
-        // in-process work does not keep recording into its sketches.
-        obsv::risk::global().disable();
         for h in self.accept.drain(..) {
             let _ = h.join();
         }
@@ -298,8 +304,8 @@ pub enum ServeError {
         what: &'static str,
     },
     /// The persistence directory could not be opened or recovered, or a
-    /// listener could not be bound. Any process-global observability
-    /// `serve` switched on has been switched back off.
+    /// listener could not be bound. A tracer `serve` switched on has
+    /// been switched back off.
     Start(String),
 }
 
@@ -326,8 +332,9 @@ impl From<ServeError> for String {
 /// TCP listener, and spawns the engine + accept threads.
 ///
 /// The options are checked before anything process-wide changes, and a
-/// start that fails later switches the risk hub off and leaves the
-/// global tracer as it found it.
+/// start that fails later leaves the global tracer as it found it. The
+/// only process-wide state `serve` touches is that tracer, and only with
+/// [`ServeOptions::emit_trace`].
 ///
 /// # Errors
 ///
@@ -354,7 +361,6 @@ pub fn serve(
     }
     let tracer_was_on = obsv::tracer::active();
     start(options, socket_path, tcp_addr).map_err(|why| {
-        obsv::risk::global().disable();
         if !tracer_was_on {
             obsv::tracer::global().disable();
         }
@@ -362,9 +368,8 @@ pub fn serve(
     })
 }
 
-/// [`serve`] past its option checks: switches the process-global risk
-/// hub (and, with `emit_trace`, the tracer) on, then opens the fleet and
-/// starts the threads.
+/// [`serve`] past its option checks: with `emit_trace` switches the
+/// global tracer on, then opens the fleet and starts the threads.
 fn start(
     options: &ServeOptions,
     socket_path: &Path,
@@ -378,15 +383,6 @@ fn start(
         tracer.set_capacity((options.config.lanes * 8).max(1 << 16));
         tracer.enable();
     }
-    // The realized-CR sketches are state the fleet carries: reset the
-    // hub and start recording before `create`/`recover`, so recovery
-    // seeds each lane's sketch from its restart point's checkpoint and
-    // the journal-tail replay records on top (a cold start replays, and
-    // so records, the whole journal). The risk counters are then
-    // monotone across a crash.
-    let risk_hub = obsv::risk::global();
-    risk_hub.reset();
-    risk_hub.enable();
     let (dir, config) = (&options.dir, &options.config);
     let opened = if options.recover {
         PersistentFleet::recover(dir, config, options.threads, options.snapshot_every)
@@ -399,7 +395,7 @@ fn start(
     };
     let (fleet, recovery) = opened?;
 
-    let shared = Arc::new(Shared::new(options.config));
+    let shared = Arc::new(Shared::new(options.config, Arc::clone(fleet.runner().risk_sketches())));
     shared.step.store(fleet.runner().step(), Ordering::Relaxed);
     shared.journal_frames.store(fleet.journal().frames_written(), Ordering::Relaxed);
     let totals = fleet.runner().totals();
@@ -699,7 +695,7 @@ fn handle_conn(
                 // Replay streams multiple Events frames; forward them
                 // all, then continue serving this connection.
                 let (tx, rx) = std::sync::mpsc::sync_channel(4);
-                if jobs.send(EngineJob::Replay { client: client_id, reply: tx }).is_err() {
+                if jobs.send(EngineJob::Replay { reply: tx }).is_err() {
                     Reply::Error { message: "daemon stopped".into() }
                 } else {
                     let mut failed = false;
@@ -871,8 +867,8 @@ fn engine_loop(
                 let _ = reply.send(answer);
                 broadcast(subscribers, shared);
             }
-            EngineJob::Replay { client, reply } => {
-                run_replay(options, client, &reply);
+            EngineJob::Replay { reply } => {
+                run_replay(options, &reply);
                 broadcast(subscribers, shared);
             }
             EngineJob::Shutdown { reply } => {
@@ -895,36 +891,22 @@ fn engine_loop(
 
 /// Replays the complete journal through a fresh engine (the journal
 /// holds every step since creation — snapshots never truncate it) and
-/// streams the regenerated canonical events back in chunks.
-fn run_replay(options: &ServeOptions, client: u64, reply: &SyncSender<Reply>) {
+/// streams the regenerated canonical events back in chunks. The fresh
+/// engine records into risk sketches of its own, dropped with it, so the
+/// live fleet's sketches are untouched.
+fn run_replay(options: &ServeOptions, reply: &SyncSender<Reply>) {
     // The replay emits through the global tracer; the engine drains it
     // after every block, so whatever is pending now belongs to earlier
     // work — flush it to subscribers is already done, and the tracer is
     // empty here. Run, then drain everything the replay produced.
-    let journal_path = options.dir.join(JOURNAL_FILE);
-    let replayed = if options.emit_trace {
-        // The full-journal replay re-runs every stop through a fresh
-        // engine; park the risk hub so the live sketches are not
-        // double-counted. (Runs on the engine thread, so no block is
-        // processed concurrently.)
-        let hub = obsv::risk::global();
-        let was_risk = hub.is_enabled();
-        if was_risk {
-            hub.disable();
-        }
-        let result = fleetstate::replay_session(&journal_path, &options.config, options.threads);
-        if was_risk {
-            hub.enable();
-        }
-        result
-    } else {
-        let _ = client;
+    if !options.emit_trace {
         let _ = reply.send(Reply::Error {
             message: "daemon runs with tracing disabled; no events to replay".into(),
         });
         return;
-    };
-    match replayed {
+    }
+    let journal_path = options.dir.join(JOURNAL_FILE);
+    match fleetstate::replay_session(&journal_path, &options.config, options.threads) {
         Ok(_runner) => {
             let records = obsv::tracer::global().drain_sorted();
             if records.is_empty() {
@@ -1024,9 +1006,7 @@ fn render_metrics(shared: &Shared, subscribers: &Subscribers, queue_capacity: us
         "fleetd_offline_cost_total",
         f64::from_bits(shared.offline_bits.load(Ordering::Relaxed)),
     );
-    if obsv::risk::active() {
-        publish_risk_series(t, shared.config.trace_stream_base);
-    }
+    publish_risk_series(t, &shared.risk);
     t.render_text()
 }
 
@@ -1034,13 +1014,15 @@ fn render_metrics(shared: &Shared, subscribers: &Subscribers, queue_capacity: us
 /// vehicles exported per scrape.
 const TOP_RISK_K: usize = 3;
 
-/// Publishes the fleet tail-risk series from the global risk hub: fleet
-/// CVaR/quantile gauges, per-ladder-rung exceedance counters, and
+/// Publishes the fleet tail-risk series from the fleet's lane sketches:
+/// fleet CVaR/quantile gauges, per-ladder-rung exceedance counters, and
 /// fixed-cardinality top-k riskiest-vehicle rank gauges. Label values
 /// are the default `{}` float rendering — the exact strings `fleetctl
 /// risk` looks up.
-fn publish_risk_series(t: &Telemetry, trace_stream_base: u64) {
-    let report = obsv::risk::global().report();
+fn publish_risk_series(t: &Telemetry, sketches: &[CrSketch]) {
+    let report = RiskReport::from_sketches(
+        sketches.iter().enumerate().map(|(lane, sketch)| (lane as u64, sketch)),
+    );
     let fleet = &report.fleet;
     t.sync_counter("fleet_cr_samples_total", fleet.count);
     for tau in obsv::risk::TAU_LADDER {
@@ -1061,9 +1043,7 @@ fn publish_risk_series(t: &Telemetry, trace_stream_base: u64) {
     let mut ranked: Vec<(u64, f64)> = report
         .vehicles
         .iter()
-        .filter_map(|(stream, digest)| {
-            digest.cvar(0.95).map(|v| (stream.saturating_sub(trace_stream_base), v))
-        })
+        .filter_map(|(&lane, digest)| digest.cvar(0.95).map(|v| (lane, v)))
         .collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     for (i, (lane, cvar)) in ranked.into_iter().take(TOP_RISK_K).enumerate() {

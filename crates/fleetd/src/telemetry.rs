@@ -9,13 +9,13 @@
 //! by construction — timing feeds histograms only, never the canonical
 //! trace or any RNG path.
 //!
-//! Stage histograms are [`obsv::LatencyHisto`]s (~2 buckets per octave,
-//! 1 ns … minutes), fine enough to separate a p50 from a p99 inside one
-//! decade. Counters that mirror the server's shared atomics are synced
+//! Stage histograms are [`obsv::MetricsRegistry::latency_histo`] timers
+//! (~2 buckets per octave, 1 ns … minutes), fine enough to separate a
+//! p50 from a p99 inside one decade. Counters that mirror the server's shared atomics are synced
 //! at scrape time (delta under a lock, so concurrent scrapes cannot
 //! double-count); gauges are last-write-wins snapshots.
 
-use obsv::{Counter, Gauge, LatencyHisto, MetricsRegistry, MetricsSnapshot};
+use obsv::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, Timer};
 use std::sync::{Mutex, PoisonError};
 
 /// The per-stage latency histogram series every healthy daemon exports.
@@ -35,17 +35,17 @@ pub struct Telemetry {
     registry: MetricsRegistry,
     /// Time a submitted block waited in the ingest queue before the
     /// engine dequeued it.
-    pub queue_wait: LatencyHisto,
+    pub queue_wait: Timer,
     /// Time to decode one CRC-framed request.
-    pub frame_decode: LatencyHisto,
+    pub frame_decode: Timer,
     /// Time the engine spent deciding a block (post-journal).
-    pub engine_decide: LatencyHisto,
+    pub engine_decide: Timer,
     /// Time to append a block's write-ahead frames to the journal.
-    pub journal_append: LatencyHisto,
+    pub journal_append: Timer,
     /// Time the journal `fsync` took for a block.
-    pub journal_fsync: LatencyHisto,
+    pub journal_fsync: Timer,
     /// Time to write one reply frame back to the client.
-    pub reply_write: LatencyHisto,
+    pub reply_write: Timer,
     /// Subscribers dropped for falling behind their bounded queue.
     pub subscriber_drops: Counter,
     /// Snapshots that failed to write (the blocks that triggered them

@@ -419,8 +419,8 @@ fn recovered_daemon_resumes_bit_identically() {
 }
 
 /// Out-of-range options are refused with a typed error before anything
-/// process-wide changes, and a start that fails after switching the
-/// tracer and risk hub on switches them back off.
+/// process-wide changes, a start that fails after switching the tracer
+/// on switches it back off, and no start switches the risk hub on.
 #[test]
 fn bad_options_are_refused_without_a_panic_or_a_leaked_global() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -447,7 +447,7 @@ fn bad_options_are_refused_without_a_panic_or_a_leaked_global() {
     let unbindable = dir.join("no-such-dir").join("fleetd.sock");
     let err = serve(&options(&dir, true), &unbindable, None).err().expect("bind must fail");
     assert!(matches!(&err, ServeError::Start(why) if why.starts_with("bind")), "{err}");
-    assert!(idle(), "a failed start must switch the tracer and risk hub back off");
+    assert!(idle(), "a failed start must switch the tracer back off");
 
     // The journaled directory is now refused before any global moves.
     let err = serve(&options(&dir, true), &socket, None).err().expect("journal exists");
@@ -488,4 +488,56 @@ fn fanout_counter_stays_zero_for_small_blocks() {
     client.submit(20, &block(20, steps)).unwrap();
     assert_eq!(fanned(&mut client), Some(1.0), "a {steps}-step block must fan out");
     started.handle.stop();
+}
+
+/// The `fleet_cr_*` series count the daemon's own decisions and nothing
+/// else: another runner deciding in the same process (on other trace
+/// streams, with riskier stops) is not counted, the top-k ranks name
+/// the daemon's lanes, and a full-journal replay counts nothing twice.
+#[test]
+fn risk_series_count_only_the_daemons_own_decisions() {
+    const BLOCKS: usize = 4;
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, socket) = scratch("risk-own");
+    let started = serve(&options(&dir, true), &socket, None).unwrap();
+    let mut client = Client::connect_unix(&socket).unwrap();
+    client.hello("it-risk-own").unwrap();
+
+    // Mostly long stops teach the other fleet to switch off at once;
+    // every fifth stop is then a near-zero one, at a realized CR in the
+    // thousands.
+    let other_config = FleetConfig { trace_stream_base: 1 << 40, seed: 99, ..config() };
+    let mut other = FleetRunner::new(&other_config, 2).unwrap();
+    let risky: Vec<Vec<f64>> =
+        (0..STEPS).map(|t| vec![if t % 5 == 4 { 0.01 } else { 600.0 }; LANES]).collect();
+    for i in 0..BLOCKS {
+        let first = (i * STEPS) as u64;
+        // No zero-length stops: the daemon's CRs stay finite, so the
+        // other fleet's lanes, were they counted, would outrank all of
+        // the daemon's.
+        let mut block = rows(first, STEPS);
+        block.iter_mut().flatten().for_each(|stop| *stop += 1.0);
+        let reply = client.submit(first, &block).unwrap();
+        assert!(matches!(reply, Reply::Decisions { .. }), "block {i}: {reply:?}");
+        other.run_block(&risky, false).unwrap();
+    }
+    let risk_counters = |client: &mut Client| {
+        let scrape = obsv::telemetry::parse(&client.telemetry().unwrap()).unwrap();
+        let ranks: Vec<f64> = (1..=3)
+            .map(|rank| scrape.gauge(&format!("fleet_cr_top_lane{{rank=\"{rank}\"}}")).unwrap())
+            .collect();
+        let mut counters = scrape.counters;
+        counters.retain(|name, _| name.starts_with("fleet_cr_"));
+        (counters, ranks)
+    };
+    let (before, ranks) = risk_counters(&mut client);
+    let decided = (LANES * STEPS * BLOCKS) as f64;
+    assert_eq!(before.get("fleet_cr_samples_total"), Some(&decided));
+    assert!(ranks.iter().all(|&lane| lane < LANES as f64), "ranks name lanes {ranks:?}");
+
+    assert!(!client.replay_events().unwrap().is_empty());
+    let (after, _) = risk_counters(&mut client);
+    assert_eq!(after, before, "a full-journal replay must not re-count");
+    started.handle.stop();
+    obsv::tracer::global().disable();
 }

@@ -1,8 +1,6 @@
 //! Crash recovery: newest restart point + journal-tail replay.
 //!
-//! Recovery is a pure function of the two files on disk (and of
-//! whether the risk hub records, which only decides how far back it may
-//! start). It either
+//! Recovery is a pure function of the two files on disk. It either
 //! returns a fleet whose state is **bit-identical** to the state an
 //! uninterrupted run would hold at the journal's last recorded step, or
 //! fails with a typed [`PersistError`] naming exactly what was wrong and
@@ -12,12 +10,12 @@
 //! ([`crate::snapshot::Checkpoint`]). Recovery starts from the newest
 //! one and reads only the journal's header frame and the bytes past the
 //! checkpoint's offset, so its cost follows the work since that
-//! snapshot, not the uptime. While the [`obsv::risk`] hub records, the
-//! checkpoint's per-lane realized-CR digests seed the lanes' sketches
-//! and the tail replay records on top; a checkpoint saved without them
-//! is then not a restart point. With no restart point, recovery cold
-//! starts and replays the whole journal, which rebuilds the sketches
-//! from scratch.
+//! snapshot, not the uptime. The checkpoint's per-lane realized-CR
+//! digests seed the lanes' sketches and the tail replay records on top;
+//! a checkpoint saved without them (marker `0`, written by older builds)
+//! is not a restart point. With no restart point, recovery cold starts
+//! and replays the whole journal, which rebuilds the sketches from
+//! scratch.
 //!
 //! The tolerance envelope covers the bytes recovery reads, and is
 //! precisely what a crash can cause:
@@ -78,14 +76,14 @@ pub struct RecoveryOutcome {
 /// Recovers a fleet from its journal and snapshot files.
 ///
 /// Steps: leniently scan the snapshots and pick the newest restart
-/// point (a snapshot with its checkpoint, carrying risk digests while
-/// the risk hub records); read the journal tail past it, or, when the
-/// tail does not line up, read + parse the whole journal (config echo
-/// must match `expected`); truncate the journal file to its clean
-/// prefix; restore (or cold-start) a [`FleetRunner`], seed its risk
-/// sketches, and replay the journal tail **without emitting trace
-/// events** — the pre-crash run already emitted them, so the merged
-/// trace equals an uninterrupted run's.
+/// point (a snapshot with its checkpoint, carrying risk digests); read
+/// the journal tail past it, or, when the tail does not line up, read +
+/// parse the whole journal (config echo must match `expected`);
+/// truncate the journal file to its clean prefix; restore (or
+/// cold-start) a [`FleetRunner`], seed its risk sketches, and replay
+/// the journal tail **without emitting trace events** — the pre-crash
+/// run already emitted them, so the merged trace equals an
+/// uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -115,13 +113,12 @@ pub fn recover_fleet(
     };
     let scan = scan_snapshots(snapshot_bytes.as_deref().unwrap_or_default(), expected);
     let newest = scan.states.iter().map(|s| s.step).max();
-    let risk = obsv::risk::active();
     let best = scan
         .states
         .iter()
         .zip(&scan.checkpoints)
         .filter_map(|(state, checkpoint)| {
-            Some((state, checkpoint.as_ref().filter(|c| !risk || c.risk.is_some())?))
+            Some((state, checkpoint.as_ref().filter(|c| c.risk.is_some())?))
         })
         .max_by_key(|(state, _)| state.step);
 
@@ -147,7 +144,7 @@ pub fn recover_fleet(
 
     let (mut runner, snapshot_step) = match best {
         Some((state, checkpoint)) => {
-            let mut runner = FleetRunner::from_state(state, threads)?;
+            let runner = FleetRunner::from_state(state, threads)?;
             if let Some(digests) = &checkpoint.risk {
                 runner.add_risk(digests);
             }
@@ -259,6 +256,7 @@ pub fn replay_session(
 mod tests {
     use super::*;
     use crate::runner::{PersistentFleet, JOURNAL_FILE, SNAPSHOT_FILE};
+    use crate::snapshot::{append_frames, Checkpoint};
     use crate::state::encode_fleet_state;
     use std::path::PathBuf;
 
@@ -382,6 +380,48 @@ mod tests {
             Err(PersistError::UnknownFrameKind { offset, kind: 2 }) if offset == header as u64
         ));
         assert_eq!(std::fs::read(&jp).unwrap(), shifted);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_without_risk_digests_is_no_restart_point() {
+        let dir = tmp("riskless");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = cfg(5);
+        let block = rows(5, 30, 8);
+        let mut reference = FleetRunner::new(&config, 1).unwrap();
+        reference.run_block(&block[..23], false).unwrap();
+
+        // A snapshot at step 16 with a marker-0 checkpoint, as older
+        // builds wrote while their process-wide risk hub was off.
+        let mut fleet = PersistentFleet::create(&dir, &config, 2, 0).unwrap();
+        fleet.run_block(&block[..16], false).unwrap();
+        let checkpoint = Checkpoint {
+            step: 16,
+            journal_offset: fleet.journal().bytes_written(),
+            journal_frames: fleet.journal().frames_written(),
+            risk: None,
+        };
+        let snapshot_path = dir.join(SNAPSHOT_FILE);
+        append_frames(&snapshot_path, &fleet.runner().export_state(), Some(&checkpoint)).unwrap();
+        fleet.run_block(&block[16..23], false).unwrap();
+        drop(fleet); // crash
+
+        let bytes = std::fs::read(&snapshot_path).unwrap();
+        let (offset, _) = crate::format::frame_offsets(&bytes)[1];
+        assert_eq!(bytes[offset as usize + crate::format::HEADER_LEN + 24], 0, "risk marker 0");
+        let scan = scan_snapshots(&bytes, &config);
+        assert_eq!(scan.checkpoints, vec![Some(checkpoint)], "a marker-0 checkpoint decodes");
+
+        let (recovered, outcome) =
+            recover_fleet(&dir.join(JOURNAL_FILE), &snapshot_path, &config, 3).unwrap();
+        assert_eq!((outcome.resumed_step, outcome.snapshot_step), (23, 0), "cold start");
+        assert_eq!(outcome.frames_replayed, 23);
+        assert_eq!(recovered.risk_digests(), reference.risk_digests());
+        assert_eq!(
+            encode_fleet_state(&recovered.export_state()),
+            encode_fleet_state(&reference.export_state())
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

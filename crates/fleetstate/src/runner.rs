@@ -7,11 +7,14 @@
 //! estimator state, RNG stream positions, and cost ledgers — can be
 //! exported and restored. Its per-stop hook adds what serving needs:
 //! the lane-major [`BlockDecisions`], the realized-CR risk sketches, and
-//! `StopCost` trace events. Lane arithmetic is lane-local and RNG
-//! streams are keyed by global vehicle index, so results are
-//! bit-identical for any thread count and across any
-//! export/restore/replay boundary — a resumed run's decision trace is
-//! byte-for-byte the trace the uninterrupted run would have written.
+//! `StopCost` trace events. The sketches, one per lane, are fleet state
+//! like the estimators: the runner always records them, snapshots carry
+//! them, and [`FleetRunner::risk_sketches`] hands out a shared handle
+//! that a scrape thread can read while the runner records. Lane
+//! arithmetic is lane-local and RNG streams are keyed by global vehicle
+//! index, so results are bit-identical for any thread count and across
+//! any export/restore/replay boundary — a resumed run's decision trace
+//! is byte-for-byte the trace the uninterrupted run would have written.
 //!
 //! The thread count fixes the shard partition, and caps the parallelism
 //! of a block: each block runs on
@@ -39,34 +42,6 @@ use crate::journal::{check_rows, AppendTiming, Journal};
 use crate::recovery::{recover_fleet, RecoveryOutcome};
 use crate::snapshot::{append_frames, Checkpoint};
 use crate::state::{FleetConfig, FleetState, LaneSnapshot};
-
-/// One shard's per-lane realized-CR sketches, cached from the global
-/// [`obsv::risk`] hub so the hot loop pays one relaxed atomic add per
-/// stop and no lock. Refreshed when the hub's epoch moves (a `reset`
-/// invalidates every cached handle).
-struct RiskHandles {
-    lanes: Vec<Arc<CrSketch>>,
-    epoch: u64,
-}
-
-impl RiskHandles {
-    /// The shard's sketches if the risk hub is active, refreshing the
-    /// cache first when it is stale.
-    fn refresh(&mut self, engine: &ShardEngine, trace_base: u64) -> Option<&[Arc<CrSketch>]> {
-        if !obsv::risk::active() {
-            return None;
-        }
-        let hub = obsv::risk::global();
-        let epoch = hub.epoch();
-        if self.epoch != epoch || self.lanes.len() != engine.lanes() {
-            self.lanes = (0..engine.lanes())
-                .map(|lane| hub.sketch(trace_base + (engine.base() + lane) as u64))
-                .collect();
-            self.epoch = epoch;
-        }
-        Some(&self.lanes)
-    }
-}
 
 /// Per-step decisions captured from a block run, lane-major: lane `i`'s
 /// decisions for the whole block are contiguous, so each contiguous
@@ -137,8 +112,8 @@ pub struct FleetRunner {
     /// Stops per vehicle processed so far.
     step: u64,
     shards: Vec<ShardEngine>,
-    /// Risk-sketch handles, one per shard.
-    risk: Vec<RiskHandles>,
+    /// Every lane's realized-CR sketch, in global lane order.
+    risk: Arc<[CrSketch]>,
 }
 
 fn validate_config(config: &FleetConfig) -> Result<BreakEven, PersistError> {
@@ -179,8 +154,7 @@ impl FleetRunner {
             .ranges()
             .map(|(base, n)| ShardEngine::new(break_even, &cfg, base, n))
             .collect();
-        let risk =
-            shards.iter().map(|_| RiskHandles { lanes: Vec::new(), epoch: u64::MAX }).collect();
+        let risk = (0..config.lanes).map(|_| CrSketch::new()).collect();
         Ok(Self { config: *config, step: 0, shards, risk })
     }
 
@@ -255,28 +229,26 @@ impl FleetRunner {
         (on, off)
     }
 
-    /// Every lane's realized-CR digest, in lane order, read through the
-    /// cached hub handles; `None` while the risk hub is off.
-    pub(crate) fn risk_digests(&mut self) -> Option<Vec<SketchDigest>> {
-        let trace_base = self.config.trace_stream_base;
-        let mut digests = Vec::with_capacity(self.config.lanes);
-        for (shard, risk) in self.shards.iter().zip(&mut self.risk) {
-            digests.extend(risk.refresh(shard, trace_base)?.iter().map(|s| s.digest()));
-        }
-        Some(digests)
+    /// Every lane's realized-CR sketch, in lane order: one sample per
+    /// stop the lane has settled since step 0, restored ones included.
+    /// Clone the handle to read the sketches from another thread while
+    /// the runner records.
+    #[must_use]
+    pub fn risk_sketches(&self) -> &Arc<[CrSketch]> {
+        &self.risk
     }
 
-    /// Adds `digests[lane]` into each lane's hub sketch, the inverse of
-    /// [`FleetRunner::risk_digests`]; a no-op while the risk hub is off.
-    pub(crate) fn add_risk(&mut self, digests: &[SketchDigest]) {
-        let trace_base = self.config.trace_stream_base;
-        for (shard, risk) in self.shards.iter().zip(&mut self.risk) {
-            let base = shard.base();
-            for (sketch, digest) in
-                risk.refresh(shard, trace_base).into_iter().flatten().zip(&digests[base..])
-            {
-                sketch.add_digest(digest);
-            }
+    /// Every lane's realized-CR digest, in lane order.
+    #[must_use]
+    pub fn risk_digests(&self) -> Vec<SketchDigest> {
+        self.risk.iter().map(CrSketch::digest).collect()
+    }
+
+    /// Adds `digests[lane]` into each lane's sketch, the inverse of
+    /// [`FleetRunner::risk_digests`].
+    pub(crate) fn add_risk(&self, digests: &[SketchDigest]) {
+        for (sketch, digest) in self.risk.iter().zip(digests) {
+            sketch.add_digest(digest);
         }
     }
 
@@ -359,15 +331,13 @@ impl FleetRunner {
         // Each contiguous group of shards owns the contiguous lane-major
         // output region of its lanes.
         let mut rest = out;
-        let groups = self.shards.chunks_mut(per_worker).zip(self.risk.chunks_mut(per_worker)).map(
-            |(engines, risks)| {
-                let group_lanes: usize = engines.iter().map(ShardEngine::lanes).sum();
-                let region = split_region(&mut rest, group_lanes * steps);
-                (engines, risks, region)
-            },
-        );
-        fan_out(groups, |(engines, risks, mut region)| {
-            for (engine, risk) in engines.iter_mut().zip(risks) {
+        let groups = self.shards.chunks_mut(per_worker).map(|engines| {
+            let group_lanes: usize = engines.iter().map(ShardEngine::lanes).sum();
+            (engines, split_region(&mut rest, group_lanes * steps))
+        });
+        let risk = &self.risk;
+        fan_out(groups, |(engines, mut region)| {
+            for engine in engines {
                 let mine = split_region(&mut region, engine.lanes() * steps);
                 run_shard(engine, risk, rows, step0, trace_base, emit, mine)?;
             }
@@ -392,11 +362,12 @@ fn split_region<'a>(
 }
 
 /// Runs one shard's engine through a block of steps. The hook captures
-/// decisions lane-major into `out`, records the risk sketches, and emits
-/// `StopCost` events; the engine flushes its counters once per block.
+/// decisions lane-major into `out`, records the shard's lanes in the
+/// fleet's `risk` sketches, and emits `StopCost` events; the engine
+/// flushes its counters once per block.
 fn run_shard(
     engine: &mut ShardEngine,
-    risk: &mut RiskHandles,
+    risk: &[CrSketch],
     rows: &[Vec<f64>],
     step0: u64,
     trace_base: u64,
@@ -404,11 +375,11 @@ fn run_shard(
     mut out: Option<(&mut [f64], &mut [VertexKind])>,
 ) -> Result<(), skirental::Error> {
     let (base, lanes, steps) = (engine.base(), engine.lanes(), rows.len());
+    let sketches = &risk[base..base + lanes];
     let tracing = emit && obsv::tracer::observing();
     // Risk sketches are *state*, not trace: they record even when trace
     // emission is suppressed (journal-tail replay after recovery), so a
     // recovered daemon's risk counters are monotone across the crash.
-    let sketches = risk.refresh(engine, trace_base);
     for (t, row) in rows.iter().enumerate() {
         let row = &row[base..base + lanes];
         let step = step0 + t as u64;
@@ -419,9 +390,7 @@ fn run_shard(
                     th[s.lane * steps + t] = s.threshold;
                     vx[s.lane * steps + t] = s.vertex;
                 }
-                if let Some(sketches) = sketches {
-                    sketches[s.lane].record_ratio(s.online, s.offline);
-                }
+                sketches[s.lane].record_ratio(s.online, s.offline);
                 if tracing {
                     // One record per (lane, step): stream identifies the
                     // lane, stop the step, so the merged sort order is
@@ -641,9 +610,9 @@ impl PersistentFleet {
 
     /// Takes a snapshot of the current state now, appending it and its
     /// [`Checkpoint`] (the journal's length now, and the lanes' risk
-    /// digests when the hub records) to the snapshot file, and emitting
-    /// a checkpoint trace event (on the configuration's meta stream)
-    /// plus `persist.*` counters.
+    /// digests) to the snapshot file, and emitting a checkpoint trace
+    /// event (on the configuration's meta stream) plus `persist.*`
+    /// counters.
     ///
     /// # Errors
     ///
@@ -655,7 +624,7 @@ impl PersistentFleet {
             step: state.step,
             journal_offset: self.journal.bytes_written(),
             journal_frames: self.journal.frames_written(),
-            risk: self.runner.risk_digests(),
+            risk: Some(self.runner.risk_digests()),
         };
         let bytes = append_frames(&self.snapshot_path, &state, Some(&checkpoint)).map_err(|e| {
             crate::obs::snapshot_failures().inc();

@@ -30,10 +30,12 @@ use crate::state::{decode_fleet_state, encode_fleet_state, FleetConfig, FleetSta
 /// [`FrameKind::Checkpoint`] frame right after its snapshot.
 ///
 /// Payload: `step`, `journal_offset` and `journal_frames` as `u64`s,
-/// then one byte — `0` when risk was not recorded, `1` when one sparse
-/// digest per lane follows: a bucket count `n` (`u8`), then `n`
-/// ascending `(index: u8, count: u64)` pairs, 9 bytes per non-zero
-/// bucket.
+/// then one byte — `1` when one sparse digest per lane follows: a
+/// bucket count `n` (`u8`), then `n` ascending `(index: u8, count: u64)`
+/// pairs, 9 bytes per non-zero bucket. [`crate::PersistentFleet`]
+/// always writes `1`; older builds wrote `0` ("risk not recorded", no
+/// digests) while their process-wide risk hub was off, and such
+/// checkpoints still decode but are no restart point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The step of the snapshot this checkpoint completes.
@@ -43,8 +45,8 @@ pub struct Checkpoint {
     pub journal_offset: u64,
     /// Journal frames at that step, header included.
     pub journal_frames: u64,
-    /// Every lane's realized-CR digest, in lane order; `None` when the
-    /// risk hub was not recording.
+    /// Every lane's realized-CR digest, in lane order; `None` for a
+    /// marker-`0` checkpoint, which carries none.
     pub risk: Option<Vec<SketchDigest>>,
 }
 

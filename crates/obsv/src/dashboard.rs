@@ -13,6 +13,7 @@
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::monitor::MonitorReport;
+use crate::risk::realized_cr;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -32,24 +33,6 @@ pub fn fmt_cr(cr: f64) -> String {
         "    inf".to_string()
     } else {
         format!("{cr:7.4}")
-    }
-}
-
-/// The realized competitive ratio of a cost pair. Mirrors
-/// `skirental::estimator::realized_cr` (this crate sits below
-/// `skirental` in the dependency order, so it cannot call it): an
-/// all-zero ledger is CR 1, positive online cost against zero offline
-/// cost is unbounded.
-#[must_use]
-pub fn realized_cr(online_cost: f64, offline_cost: f64) -> f64 {
-    if offline_cost == 0.0 {
-        if online_cost == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        online_cost / offline_cost
     }
 }
 

@@ -41,9 +41,10 @@
 //!   Prometheus text exposition format with byte-deterministic output
 //!   (sorted series, caller-injected integer timestamps, no clock on the
 //!   render path) and parses it back, so services built on this stack
-//!   can expose `/metrics` with zero new dependencies. [`LatencyHisto`]
-//!   is the matching log-bucketed (~2/octave, ns…minutes) span
-//!   histogram for service-grade latency resolution.
+//!   can expose `/metrics` with zero new dependencies.
+//!   [`MetricsRegistry::latency_histo`] is the matching log-bucketed
+//!   (~2/octave, ns…minutes) [`Timer`] for service-grade latency
+//!   resolution.
 //! * The [`risk`] module is the tail-risk plane on top of all of it:
 //!   exactly-mergeable per-vehicle realized-CR sketches ([`CrSketch`]),
 //!   quantile/CVaR/exceedance queries on immutable [`SketchDigest`]s
@@ -83,10 +84,10 @@ pub mod tracer;
 
 pub use diff::{first_divergence, Divergence};
 pub use event::{EventError, TraceEvent, TraceRecord};
-pub use metrics::{Counter, Gauge, Histogram, LatencyHisto, MetricsRegistry, Span, Timer};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, Span, Timer};
 pub use monitor::{AlarmRecord, Monitor, MonitorConfig, MonitorReport, PageHinkley, StreamSummary};
 pub use report::{HistogramSnapshot, MetricsSnapshot, ReportError, RunReport, REPORT_VERSION};
-pub use risk::{CrSketch, RiskHub, RiskReport, SketchDigest};
+pub use risk::{realized_cr, CrSketch, RiskHub, RiskReport, SketchDigest};
 pub use tracer::Tracer;
 
 use std::sync::OnceLock;

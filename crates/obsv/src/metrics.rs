@@ -16,7 +16,8 @@ pub(crate) const SUM_SCALE: f64 = 1e6;
 /// to a multi-second sweep chunk.
 const TIMER_BOUNDS_S: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
 
-/// Number of bucket bounds in a [`LatencyHisto`]: two per octave from
+/// Number of bucket bounds of a [`MetricsRegistry::latency_histo`]
+/// timer: two per octave from
 /// 1 ns up to ~194 s, so a single histogram covers everything from a
 /// cache-hot frame decode to a multi-minute stall without rebinning.
 const LATENCY_BOUND_COUNT: i32 = 76;
@@ -196,6 +197,11 @@ impl Histogram {
 /// A lightweight span timer: [`Timer::start`] returns a guard that records
 /// the elapsed wall time into a latency [`Histogram`] (seconds) when
 /// dropped. On a disabled registry no clock is read at all.
+///
+/// [`MetricsRegistry::timer`] buckets by decade, coarse enough for
+/// library spans; [`MetricsRegistry::latency_histo`] buckets ~2 per
+/// octave over 1 ns … ~3 minutes, the service-telemetry resolution that
+/// separates a p50 from a p99 within one decade.
 #[must_use = "a timer handle that is never started records nothing"]
 #[derive(Clone)]
 pub struct Timer {
@@ -205,39 +211,6 @@ pub struct Timer {
 impl Timer {
     /// Starts a span; the elapsed seconds are recorded when the returned
     /// guard drops.
-    pub fn start(&self) -> Span {
-        let start = self.hist.is_enabled().then(Instant::now);
-        Span { hist: self.hist.clone(), start }
-    }
-
-    /// Records an externally measured duration, in seconds.
-    pub fn record_seconds(&self, seconds: f64) {
-        self.hist.record(seconds);
-    }
-
-    /// The underlying latency histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-}
-
-/// A log-bucketed latency histogram: ~2 buckets per octave over
-/// 1 ns … ~3 minutes, sharing the fixed-point [`Histogram`] storage so
-/// snapshots stay exactly mergeable across threads and processes.
-///
-/// Where [`Timer`] is a coarse decade histogram for library spans,
-/// `LatencyHisto` is the service-telemetry resolution: fine enough to
-/// separate a p50 from a p99 within one decade, still cheap (one
-/// `partition_point` over a shared static bound table per record).
-#[must_use = "a latency histogram handle that is never used records nothing"]
-#[derive(Clone)]
-pub struct LatencyHisto {
-    hist: Histogram,
-}
-
-impl LatencyHisto {
-    /// Starts a span; elapsed seconds are recorded when the guard drops.
-    /// No clock is read on a disabled registry.
     pub fn start(&self) -> Span {
         let start = self.hist.is_enabled().then(Instant::now);
         Span { hist: self.hist.clone(), start }
@@ -261,7 +234,7 @@ impl LatencyHisto {
         self.hist.count()
     }
 
-    /// The underlying histogram handle.
+    /// The underlying latency histogram.
     pub fn histogram(&self) -> &Histogram {
         &self.hist
     }
@@ -432,14 +405,15 @@ impl MetricsRegistry {
         Timer { hist: self.histogram(name, &TIMER_BOUNDS_S) }
     }
 
-    /// Returns a log-bucketed [`LatencyHisto`] registered under `name`
-    /// (~2 buckets/octave, 1 ns – ~3 min), creating it if new.
+    /// Returns a span timer backed by the log-bucketed latency histogram
+    /// registered under `name` (~2 buckets/octave, 1 ns – ~3 min),
+    /// creating it if new.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn latency_histo(&self, name: &str) -> LatencyHisto {
-        LatencyHisto { hist: self.histogram(name, latency_bounds()) }
+    pub fn latency_histo(&self, name: &str) -> Timer {
+        Timer { hist: self.histogram(name, latency_bounds()) }
     }
 
     /// Zeroes every metric's value **in place** — all existing handles

@@ -38,6 +38,7 @@
 //! is *observed*, never what is *computed*.
 
 use crate::event::{TraceEvent, TraceRecord};
+use crate::risk::realized_cr;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
@@ -288,21 +289,6 @@ pub fn vertex_argmin(mu: f64, q: f64, b: f64) -> (&'static str, f64) {
     best
 }
 
-/// The realized-CR convention shared with `skirental`: `online/offline`,
-/// with a zero offline cost mapping to `1` when nothing was paid and `+∞`
-/// when real cost was.
-fn ratio(online: f64, offline: f64) -> f64 {
-    if offline == 0.0 {
-        if online == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        online / offline
-    }
-}
-
 /// One alarm, as aggregated into the [`MonitorReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlarmRecord {
@@ -377,13 +363,13 @@ impl StreamSummary {
     /// Cumulative realized CR (∞-convention as in `skirental`).
     #[must_use]
     pub fn cumulative_cr(&self) -> f64 {
-        ratio(self.online_s, self.offline_s)
+        realized_cr(self.online_s, self.offline_s)
     }
 
     /// Windowed realized CR over the last `W` stops.
     #[must_use]
     pub fn windowed_cr(&self) -> f64 {
-        ratio(self.windowed_online_s, self.windowed_offline_s)
+        realized_cr(self.windowed_online_s, self.windowed_offline_s)
     }
 }
 
@@ -734,7 +720,7 @@ impl Monitor {
                 if state.recent_costs.len() >= config.window && state.bound_live {
                     if let Some(bound) = state.bound_cr {
                         let (online, offline) = state.windowed_sums();
-                        let wcr = ratio(online, offline);
+                        let wcr = realized_cr(online, offline);
                         let limit = bound * (1.0 + config.cr_margin);
                         if wcr > limit && !state.cr_latched {
                             state.cr_latched = true;
@@ -764,7 +750,7 @@ impl Monitor {
                     {
                         state.tail_exceed -= 1;
                     }
-                    let exceeds = ratio(*online_s, *offline_s) > config.tail_tau;
+                    let exceeds = realized_cr(*online_s, *offline_s) > config.tail_tau;
                     state.tail_window.push_back(exceeds);
                     if exceeds {
                         state.tail_exceed += 1;
@@ -996,9 +982,9 @@ mod tests {
 
     #[test]
     fn cr_convention_matches_skirental() {
-        assert_eq!(ratio(0.0, 0.0), 1.0);
-        assert_eq!(ratio(5.0, 0.0), f64::INFINITY);
-        assert!((ratio(3.0, 2.0) - 1.5).abs() < 1e-12);
+        assert_eq!(realized_cr(0.0, 0.0), 1.0);
+        assert_eq!(realized_cr(5.0, 0.0), f64::INFINITY);
+        assert!((realized_cr(3.0, 2.0) - 1.5).abs() < 1e-12);
     }
 
     #[test]

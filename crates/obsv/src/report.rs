@@ -664,7 +664,7 @@ mod tests {
             .values()
             .fold(crate::risk::SketchDigest::default(), |acc, d| acc.merge(d));
         assert_eq!(remerged, back_risk.fleet);
-        assert_eq!(back_risk.fleet.cvar(0.5), hub.fleet_digest().cvar(0.5));
+        assert_eq!(back_risk.fleet.cvar(0.5), hub.report().fleet.cvar(0.5));
 
         // The risk section is measurement data: fingerprint-inert.
         assert_eq!(report.config_fingerprint(), sample_report().config_fingerprint());

@@ -4,7 +4,7 @@
 //! fleets care about the tail — one vehicle repeatedly paying
 //! near-worst-case restart cost. This module tracks the *distribution*
 //! of realized per-stop CRs, per vehicle and fleet-wide, with the same
-//! discipline as [`crate::LatencyHisto`]:
+//! discipline as the latency [`crate::Timer`]:
 //!
 //! * a [`CrSketch`] is a log-bucketed histogram over atomic `u64`
 //!   buckets — recording finds the bucket from the value's f64
@@ -23,21 +23,27 @@
 //!   same no-`powf` construction as the latency bound table, so the
 //!   table is identical on every platform.
 //!
-//! The process-wide [`RiskHub`] behind [`global`] follows the
-//! disabled-by-default pattern of the registry/tracer/monitor: a
-//! disabled hub costs one relaxed load at each instrumentation site,
-//! and enabling it changes what is *recorded*, never what is computed.
+//! Sketches are plain values: whoever owns the streams owns their
+//! sketches. A `fleetstate::FleetRunner` keeps one per lane as part of
+//! its state, and [`RiskReport::from_sketches`] turns any set of them
+//! into a report. The process-wide [`RiskHub`] behind [`global`] holds
+//! the per-stream sketches of the scalar controllers, which record
+//! through [`record_current`]; it follows the disabled-by-default
+//! pattern of the registry/tracer/monitor: a disabled hub costs one
+//! relaxed load at each instrumentation site, and enabling it changes
+//! what is *recorded*, never what is computed.
 //!
-//! CRs use the workspace-wide ∞-convention (`online/offline`, `0/0 → 1`,
-//! `x/0 → ∞`); infinite ratios land in the sketch's overflow bucket, so
-//! a digest never needs to serialize a non-finite float — the JSON form
-//! is pure integers and round-trips byte-identically.
+//! CRs use the workspace-wide ∞-convention of [`realized_cr`]
+//! (`online/offline`, `0/0 → 1`, `x/0 → ∞`); infinite ratios land in
+//! the sketch's overflow bucket, so a digest never needs to serialize a
+//! non-finite float — the JSON form is pure integers and round-trips
+//! byte-identically.
 
 use crate::json::Value;
 use std::collections::BTreeMap;
 use std::f64::consts::SQRT_2;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Number of independent hub shards; streams shard by `stream % SHARDS`.
 const SHARDS: usize = 16;
@@ -114,17 +120,21 @@ pub fn bucket_bound(index: usize) -> f64 {
     cr_bounds().get(index).copied().unwrap_or(f64::INFINITY)
 }
 
-/// The workspace realized-CR convention (`skirental::realized_cr`):
-/// `online/offline` with `0/0 → 1` and `x/0 → +∞`.
-fn ratio(online: f64, offline: f64) -> f64 {
-    if offline == 0.0 {
-        if online == 0.0 {
+/// The realized competitive ratio of a cost pair, the one convention
+/// every crate in the workspace uses: `online / offline`, with an
+/// all-zero ledger at CR 1 and positive online cost against zero
+/// offline cost unbounded (`+∞`).
+#[must_use]
+#[inline]
+pub fn realized_cr(online_cost: f64, offline_cost: f64) -> f64 {
+    if offline_cost == 0.0 {
+        if online_cost == 0.0 {
             1.0
         } else {
             f64::INFINITY
         }
     } else {
-        online / offline
+        online_cost / offline_cost
     }
 }
 
@@ -133,17 +143,30 @@ fn ratio(online: f64, offline: f64) -> f64 {
 /// Recording is lock-free (one relaxed `fetch_add`); the sample count
 /// is the bucket sum. Merging adds integer buckets, so it is
 /// associative, commutative, and invariant to how samples were sharded
-/// over threads.
-#[derive(Debug)]
+/// over threads. The buckets are allocated on the first sample, so a
+/// fleet's worth of empty sketches costs no bucket memory until its
+/// lanes decide.
+#[derive(Debug, Default)]
 pub struct CrSketch {
-    buckets: Vec<AtomicU64>,
+    buckets: OnceLock<Box<[AtomicU64; BOUND_COUNT + 1]>>,
 }
 
 impl CrSketch {
     /// An empty sketch.
     #[must_use]
     pub fn new() -> Self {
-        Self { buckets: (0..=BOUND_COUNT).map(|_| AtomicU64::new(0)).collect() }
+        Self::default()
+    }
+
+    /// The buckets, allocated (all zero) on first use.
+    fn buckets(&self) -> &[AtomicU64; BOUND_COUNT + 1] {
+        self.buckets.get_or_init(|| Box::new([const { AtomicU64::new(0) }; BOUND_COUNT + 1]))
+    }
+
+    /// Every bucket's count, in bucket order; nothing before the first
+    /// sample.
+    fn counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.buckets.get().into_iter().flat_map(|b| b.iter()).map(|b| b.load(Ordering::Relaxed))
     }
 
     /// Records one realized CR value. NaN is ignored (it is a caller
@@ -154,31 +177,28 @@ impl CrSketch {
         if cr.is_nan() {
             return;
         }
-        self.buckets[bucket_index(cr)].fetch_add(1, Ordering::Relaxed);
+        self.buckets()[bucket_index(cr)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the CR of one stop from its online/offline costs, using
     /// the workspace ∞-convention.
     #[inline]
     pub fn record_ratio(&self, online_s: f64, offline_s: f64) {
-        self.record_cr(ratio(online_s, offline_s));
+        self.record_cr(realized_cr(online_s, offline_s));
     }
 
     /// Samples recorded so far: the sum of the buckets.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.counts().sum()
     }
 
     /// Adds every bucket of `other` into `self`. Integer addition:
     /// exactly associative and commutative, so any merge tree over any
     /// sharding produces the same sketch.
     pub fn merge(&self, other: &Self) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let v = theirs.load(Ordering::Relaxed);
-            if v > 0 {
-                mine.fetch_add(v, Ordering::Relaxed);
-            }
+        for (index, count) in other.counts().enumerate().filter(|&(_, c)| c > 0) {
+            self.buckets()[index].fetch_add(count, Ordering::Relaxed);
         }
     }
 
@@ -189,7 +209,7 @@ impl CrSketch {
     /// ignored.
     pub fn add_digest(&self, digest: &SketchDigest) {
         for &(index, count) in &digest.buckets {
-            if let Some(bucket) = self.buckets.get(index as usize) {
+            if let Some(bucket) = self.buckets().get(index as usize) {
                 bucket.fetch_add(count, Ordering::Relaxed);
             }
         }
@@ -199,22 +219,7 @@ impl CrSketch {
     /// serialization.
     #[must_use]
     pub fn digest(&self) -> SketchDigest {
-        let buckets: Vec<(u32, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let v = b.load(Ordering::Relaxed);
-                (v > 0).then_some((i as u32, v))
-            })
-            .collect();
-        SketchDigest { count: buckets.iter().map(|&(_, c)| c).sum(), buckets }
-    }
-}
-
-impl Default for CrSketch {
-    fn default() -> Self {
-        Self::new()
+        SketchDigest::from_counts(self.counts())
     }
 }
 
@@ -232,6 +237,17 @@ pub struct SketchDigest {
 }
 
 impl SketchDigest {
+    /// The digest of dense per-bucket counts, the count of bucket `i`
+    /// at position `i`.
+    fn from_counts(counts: impl IntoIterator<Item = u64>) -> Self {
+        let buckets: Vec<(u32, u64)> = counts
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, c)| (c > 0).then_some((i as u32, c)))
+            .collect();
+        Self { count: buckets.iter().map(|&(_, c)| c).sum(), buckets }
+    }
+
     /// The `q`-quantile (`q` in `[0, 1]`) as the upper bound of the
     /// bucket containing rank `⌈q·n⌉` — `+∞` when the rank lands in the
     /// overflow bucket, `None` when the digest is empty.
@@ -377,6 +393,27 @@ pub struct RiskReport {
 }
 
 impl RiskReport {
+    /// The report over `(stream, sketch)` pairs: each sketch's digest
+    /// under its stream id, and the fleet digest as their bucket-wise
+    /// integer sum — independent of iteration order and thread count.
+    /// Each stream must appear once.
+    #[must_use]
+    pub fn from_sketches<'a>(sketches: impl IntoIterator<Item = (u64, &'a CrSketch)>) -> Self {
+        let mut counts = [0u64; BOUND_COUNT + 1];
+        let vehicles = sketches
+            .into_iter()
+            .map(|(stream, sketch)| {
+                let digest = sketch.digest();
+                for &(index, count) in &digest.buckets {
+                    counts[index as usize] += count;
+                }
+                (stream, digest)
+            })
+            .collect();
+        let fleet = SketchDigest::from_counts(counts);
+        Self { tau_ladder: TAU_LADDER.to_vec(), fleet, vehicles }
+    }
+
     /// Serializes to the canonical JSON value (sorted keys, integer
     /// digests, finite ladder floats).
     #[must_use]
@@ -416,14 +453,10 @@ impl RiskReport {
 /// The process-wide per-stream CR sketch collection.
 ///
 /// Sharded like the tracer and the monitor; a disabled hub costs one
-/// relaxed load per instrumentation site. Hot paths can cache the
-/// per-stream [`CrSketch`] handles ([`RiskHub::sketch`]) and refresh
-/// the cache when [`RiskHub::epoch`] changes (a reset bumps it, which
-/// invalidates previously handed-out sketches).
+/// relaxed load per instrumentation site.
 pub struct RiskHub {
     enabled: AtomicBool,
-    epoch: AtomicU64,
-    shards: [Mutex<BTreeMap<u64, Arc<CrSketch>>>; SHARDS],
+    shards: [Mutex<BTreeMap<u64, CrSketch>>; SHARDS],
 }
 
 impl RiskHub {
@@ -440,7 +473,6 @@ impl RiskHub {
     pub fn disabled() -> Self {
         Self {
             enabled: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
             shards: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
         }
     }
@@ -462,77 +494,36 @@ impl RiskHub {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Discards every sketch and bumps the epoch, invalidating cached
-    /// [`RiskHub::sketch`] handles.
+    /// Discards every sketch.
     pub fn reset(&self) {
         for shard in &self.shards {
             shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
         }
-        self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The cache-invalidation epoch (bumped by [`RiskHub::reset`]).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// The sketch for `stream`, created on first use. The returned
-    /// handle is valid until the next [`RiskHub::reset`] — hot paths
-    /// cache it and re-fetch when [`RiskHub::epoch`] changes.
-    #[must_use]
-    pub fn sketch(&self, stream: u64) -> Arc<CrSketch> {
-        let shard = &self.shards[(stream % SHARDS as u64) as usize];
-        let mut sketches = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(sketches.entry(stream).or_default())
-    }
-
-    /// Records one stop's realized costs against `stream`. A no-op
-    /// while the hub is disabled.
+    /// Records one stop's realized costs against `stream`, creating its
+    /// sketch on first use. A no-op while the hub is disabled.
     pub fn record(&self, stream: u64, online_s: f64, offline_s: f64) {
         if !self.is_enabled() {
             return;
         }
-        self.sketch(stream).record_ratio(online_s, offline_s);
-    }
-
-    /// The fleet-wide digest: every vehicle sketch merged by integer
-    /// bucket addition — independent of iteration order and thread
-    /// count.
-    #[must_use]
-    pub fn fleet_digest(&self) -> SketchDigest {
-        let mut counts = [0u64; BOUND_COUNT + 1];
-        for shard in &self.shards {
-            let sketches = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for sketch in sketches.values() {
-                for (i, b) in sketch.buckets.iter().enumerate() {
-                    counts[i] += b.load(Ordering::Relaxed);
-                }
-            }
-        }
-        SketchDigest {
-            count: counts.iter().sum(),
-            buckets: counts
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| (c > 0).then_some((i as u32, c)))
-                .collect(),
-        }
+        let shard = &self.shards[(stream % SHARDS as u64) as usize];
+        let mut sketches = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        sketches.entry(stream).or_default().record_ratio(online_s, offline_s);
     }
 
     /// Snapshots every stream into a [`RiskReport`] (sorted by stream
     /// id, so the report is deterministic for any thread interleaving).
     #[must_use]
     pub fn report(&self) -> RiskReport {
-        let mut vehicles = BTreeMap::new();
-        for shard in &self.shards {
-            let sketches = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for (stream, sketch) in sketches.iter() {
-                vehicles.insert(*stream, sketch.digest());
-            }
-        }
-        let fleet = vehicles.values().fold(SketchDigest::default(), |acc, d| acc.merge(d));
-        RiskReport { tau_ladder: TAU_LADDER.to_vec(), fleet, vehicles }
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        RiskReport::from_sketches(
+            shards.iter().flat_map(|sketches| sketches.iter().map(|(&s, sketch)| (s, sketch))),
+        )
     }
 }
 
@@ -544,9 +535,10 @@ impl Default for RiskHub {
 
 static GLOBAL_HUB: OnceLock<RiskHub> = OnceLock::new();
 
-/// The process-wide risk hub. Starts disabled; harness binaries enable
-/// it with `--risk` (see `bench::RunReporter`) and the fleet daemon
-/// enables it at startup.
+/// The process-wide risk hub of the scalar controllers. Starts
+/// disabled; harness binaries enable it with `--risk` (see
+/// `bench::RunReporter`). Fleet runners keep their own lane sketches
+/// and never record here.
 #[must_use]
 pub fn global() -> &'static RiskHub {
     GLOBAL_HUB.get_or_init(RiskHub::disabled)
@@ -609,9 +601,9 @@ mod tests {
 
     #[test]
     fn ratio_follows_the_infinity_convention() {
-        assert_eq!(ratio(0.0, 0.0), 1.0);
-        assert_eq!(ratio(3.0, 0.0), f64::INFINITY);
-        assert!((ratio(3.0, 2.0) - 1.5).abs() < 1e-12);
+        assert_eq!(realized_cr(0.0, 0.0), 1.0);
+        assert_eq!(realized_cr(3.0, 0.0), f64::INFINITY);
+        assert!((realized_cr(3.0, 2.0) - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -723,7 +715,6 @@ mod tests {
         let remerged =
             report.vehicles.values().fold(SketchDigest::default(), |acc, d| acc.merge(d));
         assert_eq!(remerged, report.fleet);
-        assert_eq!(hub.fleet_digest(), report.fleet);
         let json = report.to_value().to_string();
         let back = RiskReport::from_value(&Value::parse(&json).unwrap()).unwrap();
         assert_eq!(back, report);
@@ -731,18 +722,33 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hub_records_nothing_and_reset_bumps_epoch() {
+    fn disabled_hub_records_nothing_and_reset_clears() {
         let hub = RiskHub::disabled();
         assert!(!hub.is_enabled());
         hub.record(0, 2.0, 1.0);
-        assert_eq!(hub.fleet_digest().count, 0);
+        assert_eq!(hub.report().fleet.count, 0);
         hub.enable();
         hub.record(0, 2.0, 1.0);
-        assert_eq!(hub.fleet_digest().count, 1);
-        let e = hub.epoch();
+        assert_eq!(hub.report().fleet.count, 1);
         hub.reset();
-        assert_eq!(hub.epoch(), e + 1);
-        assert_eq!(hub.fleet_digest().count, 0);
+        assert_eq!(hub.report().fleet.count, 0);
+    }
+
+    #[test]
+    fn report_from_lane_sketches_matches_the_hub() {
+        let lanes: Vec<CrSketch> = (0..3).map(|_| CrSketch::new()).collect();
+        let hub = RiskHub::new();
+        for (i, (online, offline)) in
+            [(5.0, 4.0), (6.0, 2.0), (1.0, 1.0), (7.0, 0.0)].into_iter().enumerate()
+        {
+            lanes[i % 3].record_ratio(online, offline);
+            hub.record(10 + (i % 3) as u64, online, offline);
+        }
+        let report = RiskReport::from_sketches(
+            lanes.iter().enumerate().map(|(lane, sketch)| (10 + lane as u64, sketch)),
+        );
+        assert_eq!(report, hub.report());
+        assert_eq!(report.fleet.count, 4);
     }
 
     #[test]

@@ -473,22 +473,7 @@ impl AdaptiveController {
     }
 }
 
-/// The realized-competitive-ratio convention shared by every outcome in
-/// this crate: `online / offline`, with the `offline == 0` degenerate case
-/// mapped to `1.0` when nothing was paid and `+∞` when real cost was
-/// (see [`AdaptiveOutcome::cr`]).
-#[must_use]
-pub fn realized_cr(online_cost: f64, offline_cost: f64) -> f64 {
-    if offline_cost == 0.0 {
-        if online_cost == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        online_cost / offline_cost
-    }
-}
+pub use obsv::realized_cr;
 
 /// Convenience: the oracle (in-sample) CR of the proposed policy on the
 /// same trace — what the adaptive run converges to with enough history.

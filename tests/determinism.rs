@@ -19,9 +19,9 @@ use std::sync::{Mutex, PoisonError};
 
 const THREADS: [usize; 5] = [1, 2, 4, 7, 64];
 
-/// Serializes the tests that drive process-wide observability state
-/// (the global tracer and the global risk hub): an enabled hub would
-/// otherwise record stops from a concurrently running test thread.
+/// Serializes the tests that drive the process-wide tracer: an enabled
+/// tracer would otherwise record stops from a concurrently running test
+/// thread.
 static PROCESS_WIDE: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -125,14 +125,13 @@ fn decision_traces_bit_identical_across_thread_counts() {
 
 /// The serialized risk report of a sharded fleet run is **byte**
 /// identical for any worker-thread count: sketch buckets are integer
-/// counts keyed by lane, so sharding cannot move a sample, and the
-/// report walks vehicles in sorted stream order. The fleet digest —
+/// counts in the runner's per-lane sketches, so sharding cannot move a
+/// sample, and the report walks vehicles in sorted stream order. The fleet digest —
 /// hence every published CVaR / quantile / exceedance gauge — also
 /// re-derives bit-exactly from the per-vehicle digests of the
 /// round-tripped JSON, which is the offline-audit contract.
 #[test]
 fn risk_reports_bit_identical_across_thread_counts() {
-    let _guard = PROCESS_WIDE.lock().unwrap_or_else(PoisonError::into_inner);
     let lanes = 23usize;
     let steps = 200usize;
     let mut rng = StdRng::seed_from_u64(20_140_601);
@@ -151,17 +150,13 @@ fn risk_reports_bit_identical_across_thread_counts() {
         seed: 7,
         trace_stream_base: 9_000,
     };
-    let hub = obsv::risk::global();
-
     let report_with = |threads: usize| -> obsv::RiskReport {
-        hub.reset();
-        hub.enable();
         let mut runner = fleetstate::FleetRunner::new(&config, threads).unwrap();
         for block in rows.chunks(64) {
             runner.run_block(block, false).unwrap();
         }
-        hub.disable();
-        hub.report()
+        let streams = (config.trace_stream_base..).zip(runner.risk_sketches().iter());
+        obsv::RiskReport::from_sketches(streams)
     };
 
     let reference = report_with(1);
@@ -177,7 +172,6 @@ fn risk_reports_bit_identical_across_thread_counts() {
             "risk report bytes drifted at {threads} threads"
         );
     }
-    hub.reset();
 
     // Offline audit: parse the serialized report back, re-merge the
     // vehicle digests, and re-derive every gauge — bit-for-bit equal to

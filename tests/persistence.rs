@@ -621,17 +621,21 @@ fn golden_journal_and_snapshot_frames() {
     let snapshot = frame_at(&snapshots, 0);
     assert_eq!((snapshot.len(), hex(&snapshot[snapshot.len() - 4..]).as_str()), (336, "5518f748"));
     // Frame 1 is the snapshot's checkpoint: its step, the journal's
-    // length and frame count then, and "risk not recorded".
+    // length and frame count then, and every lane's risk digest.
     let checkpoint = frame_at(&snapshots, 1);
     assert_eq!(
         hex(&checkpoint),
         concat!(
-            "464c53540100050019000000", // header: magic, version, kind 5, payload length
+            "464c53540100050049000000", // header: magic, version, kind 5, payload length
             "0200000000000000",         // step 2
             "9400000000000000",         // journal offset: 148 bytes
             "0300000000000000",         // journal frames: header + 2 steps
-            "00",                       // risk not recorded
-            "b56af586",                 // CRC-32 trailer
+            "01",                       // one risk digest per lane follows
+            // Per lane: bucket count, then (bucket index, count) pairs.
+            "02000100000000000000080100000000000000", // lane 0: buckets 0 (CR 1) and 8
+            "01000200000000000000",                   // lane 1: bucket 0 twice
+            "02000100000000000000050100000000000000", // lane 2: buckets 0 and 5
+            "ae75ca8e",                               // CRC-32 trailer
         )
     );
     std::fs::remove_dir_all(&dir).ok();

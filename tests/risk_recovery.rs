@@ -1,16 +1,13 @@
 //! Per-vehicle realized-CR sketches survive a crash exactly.
 //!
-//! The P(CR > τ) budgets read each vehicle's sketch from the
-//! process-wide risk hub. A restart seeds every lane's sketch from the
-//! checkpoint saved with the newest snapshot and replays the journal
-//! tail on top; a checkpoint saved while the hub was off is no restart
-//! point, so recovery cold-starts and replays everything. Either way a
-//! crash at any step must leave every vehicle's digest equal to an
-//! uninterrupted run's, stream by stream — fleet totals alone would not
-//! notice two lanes swapping sketches.
-//!
-//! One test in its own binary: the hub is process-global, and no other
-//! test may record into it meanwhile.
+//! The P(CR > τ) budgets read each vehicle's sketch, which the fleet
+//! runner keeps as lane state. A restart seeds every lane's sketch from
+//! the checkpoint saved with the newest snapshot and replays the journal
+//! tail on top. A crash at any step must leave every vehicle's digest
+//! equal to an uninterrupted run's, lane by lane — fleet totals alone
+//! would not notice two lanes swapping sketches. (A checkpoint without
+//! digests, as older builds wrote, is covered by a `fleetstate` unit
+//! test: recovery cold-starts from it.)
 
 use automotive_idling::fleetstate::{FleetConfig, FleetRunner, PersistentFleet};
 
@@ -53,58 +50,38 @@ fn per_vehicle_risk_digests_survive_a_crash_at_every_cut() {
         trace_stream_base: 40,
     };
     let workload = rows(config.lanes, STEPS);
-    let hub = obsv::risk::global();
-    hub.reset();
-    hub.enable();
     let mut reference = FleetRunner::new(&config, 2).unwrap();
     reference.run_block(&workload, false).unwrap();
-    let want = hub.report().vehicles;
-    assert_eq!(want.keys().copied().collect::<Vec<_>>(), (40..46).collect::<Vec<u64>>());
+    let want = reference.risk_digests();
+    assert_eq!(want.len(), config.lanes);
+    assert!(want.iter().all(|d| d.count == STEPS as u64), "one sample per lane and step");
 
     let dir = std::env::temp_dir()
         .join("risk-recovery-test")
         .join(format!("fleet-{}", std::process::id()));
-    for risk_before_crash in [true, false] {
-        for cut in 0..=STEPS {
-            std::fs::remove_dir_all(&dir).ok();
-            hub.reset();
-            if risk_before_crash {
-                hub.enable();
-            } else {
-                hub.disable();
-            }
-            let mut fleet =
-                PersistentFleet::create(&dir, &config, 1 + cut % 3, SNAPSHOT_EVERY).unwrap();
-            for block in ragged(&workload[..cut]) {
-                fleet.run_block(block, false).unwrap();
-            }
-            drop(fleet); // crash
+    for cut in 0..=STEPS {
+        std::fs::remove_dir_all(&dir).ok();
+        let mut fleet =
+            PersistentFleet::create(&dir, &config, 1 + cut % 3, SNAPSHOT_EVERY).unwrap();
+        for block in ragged(&workload[..cut]) {
+            fleet.run_block(block, false).unwrap();
+        }
+        let snapshot_step = fleet.last_snapshot_step();
+        drop(fleet); // crash
 
-            // Restart as the daemon does: a fresh hub records from
-            // before recovery on.
-            hub.reset();
-            hub.enable();
-            let (mut fleet, outcome) =
-                PersistentFleet::recover(&dir, &config, 1 + (cut + 1) % 3, SNAPSHOT_EVERY).unwrap();
-            assert_eq!(outcome.resumed_step, cut as u64);
-            if !risk_before_crash {
-                assert_eq!(outcome.snapshot_step, 0, "cut {cut}: a riskless checkpoint was used");
-            }
-            for block in ragged(&workload[cut..]) {
-                fleet.run_block(block, false).unwrap();
-            }
-            let got = hub.report().vehicles;
-            assert_eq!(got.len(), want.len(), "cut {cut}");
-            for (stream, digest) in &want {
-                assert_eq!(
-                    got.get(stream),
-                    Some(digest),
-                    "cut {cut} (risk before crash: {risk_before_crash}): stream {stream}"
-                );
-            }
+        let (mut fleet, outcome) =
+            PersistentFleet::recover(&dir, &config, 1 + (cut + 1) % 3, SNAPSHOT_EVERY).unwrap();
+        assert_eq!(outcome.resumed_step, cut as u64);
+        assert_eq!(outcome.snapshot_step, snapshot_step, "cut {cut}: restart point");
+        for block in ragged(&workload[cut..]) {
+            fleet.run_block(block, false).unwrap();
+        }
+        let got = fleet.runner().risk_digests();
+        assert_eq!(got.len(), want.len(), "cut {cut}");
+        for (lane, (got, want)) in got.iter().zip(&want).enumerate() {
+            let stream = config.trace_stream_base + lane as u64;
+            assert_eq!(got, want, "cut {cut}: stream {stream}");
         }
     }
-    hub.disable();
-    hub.reset();
     std::fs::remove_dir_all(&dir).ok();
 }
