@@ -16,21 +16,28 @@
 //! `recovery_drill` would only show a blended slowdown.
 //!
 //! Criterion group `crc32`: [`numeric::crc32::crc32`] over 64 B (a
-//! small control frame), 4 KiB and 128 KiB (the order of a bulk `Submit`
+//! small control frame), 4 KiB (the two-stream cut,
+//! `numeric::crc32::SPLIT_MIN`), 16 KiB (one journal `Observations`
+//! frame at 2048 lanes) and 128 KiB (the order of a bulk `Submit`
 //! frame), reported as bytes/s. Every wire, journal and snapshot frame
 //! pays this kernel; a daemon round trip runs it five times over each
-//! decision byte. The kernel is slicing-by-16. Measured on a 2-vCPU
-//! Intel Xeon (std-only kernels, same tables, release build), in
-//! ns/byte:
+//! decision byte. The kernel is slicing-by-16, folded as two interleaved
+//! streams from 4 KiB up. Measured on a 2-vCPU Intel Xeon (std-only
+//! kernels, same tables, release build), in ns/byte:
 //!
-//! | input   | byte loop | slicing-by-8 | slicing-by-16 |
-//! |---------|-----------|--------------|---------------|
-//! | 64 B    | 2.33      | 0.58         | 0.49          |
-//! | 4 KiB   | 3.26      | 0.80         | 0.62          |
-//! | 128 KiB | 3.24      | 0.83         | 0.63          |
+//! | input   | byte loop | slicing-by-8 | slicing-by-16 | two streams |
+//! |---------|-----------|--------------|---------------|-------------|
+//! | 64 B    | 2.33      | 0.58         | 0.49          | (one stream) |
+//! | 4 KiB   | 3.26      | 0.80         | 0.62          | 0.46        |
+//! | 16 KiB  |           |              | 0.65          | 0.44        |
+//! | 128 KiB | 3.24      | 0.83         | 0.63          | 0.43        |
 //!
 //! Slicing-by-16 wins at every size for 8 KiB more table (16 KiB in
-//! all), so it is the one implementation.
+//! all), so it is the one table layout. The two-stream column and the
+//! 16 KiB row come from a later session on the same VM type, in which
+//! one stream read 0.66, 0.65 and 0.66 ns/byte at 4 KiB, 16 KiB and
+//! 128 KiB: two streams cut the time by about a third at every size from
+//! the cut up, where the 64 B control frames stay on one stream.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fleetstate::{
@@ -117,7 +124,8 @@ fn bench_crc32(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32");
     let data: Vec<u8> =
         (0..128u32 << 10).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
-    for (label, len) in [("64B", 64), ("4KiB", 4 << 10), ("128KiB", 128 << 10)] {
+    for (label, len) in [("64B", 64), ("4KiB", 4 << 10), ("16KiB", 16 << 10), ("128KiB", 128 << 10)]
+    {
         g.throughput(Throughput::Bytes(len as u64));
         g.bench_function(label, |bencher| {
             bencher.iter(|| numeric::crc32::crc32(black_box(&data[..len])));

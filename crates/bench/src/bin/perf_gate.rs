@@ -40,7 +40,7 @@
 //! decision trace of the workload (each phase runs under its own stream
 //! id, so the JSONL is deterministic and `trace_diff`-able across runs).
 
-use bench::RunReporter;
+use bench::{time_unstolen, RunReporter};
 use drivesim::faults::{Fault, FaultPlan};
 use drivesim::sanitize::TraceSanitizer;
 use drivesim::{Area, FleetConfig, VehicleTrace};
@@ -227,29 +227,6 @@ fn batch_phase() -> BatchThroughput {
     let report = report.expect("BATCH_REPS >= 1");
     assert_eq!(report.outcomes, scalar, "batch path must be bit-identical to the scalar reference");
     BatchThroughput { batch_sps: total_stops / batch_best, scalar_sps: total_stops / scalar_best }
-}
-
-/// CPU time the hypervisor gave to other guests while this one's CPUs
-/// wanted to run (`steal` in `/proc/stat`), in clock ticks of 1/100 s
-/// summed over CPUs; 0 where the kernel does not report it.
-fn steal_ticks() -> u64 {
-    fs::read_to_string("/proc/stat")
-        .ok()
-        .and_then(|s| s.lines().next()?.split_whitespace().nth(8)?.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Times `f` and scales its wall time by one minus the share of the
-/// machine's CPU time the host stole meanwhile (capped at 0.9), so a
-/// throughput rep that a noisy neighbour preempted is not read as a
-/// slow engine.
-fn time_unstolen<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let (start, ticks) = (Instant::now(), steal_ticks());
-    let out = f();
-    let wall = start.elapsed().as_secs_f64();
-    let stolen = steal_ticks().saturating_sub(ticks) as f64 / 100.0;
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from) as f64;
-    (out, wall * (1.0 - (stolen / (cpus * wall.max(1e-9))).min(0.9)))
 }
 
 /// Decision throughput through the full daemon path: an in-process

@@ -32,7 +32,10 @@
 //! journaled engine on the perf gate's batched workload shape and
 //! enforces the checked-in `batch_stops_per_sec` floor divided by
 //! `PERF_GATE_TOLERANCE` — write-ahead logging must not cost an order
-//! of magnitude.
+//! of magnitude. Each rep is timed as `perf_gate` times its own: wall
+//! time scaled by one minus the host's CPU steal share over the rep
+//! ([`bench::time_unstolen`]), so a preempted VM does not read as a
+//! slow journal.
 //!
 //! ```text
 //! recovery_drill [--steps N] [--snapshot-every N] [--corruption-cases N]
@@ -41,7 +44,7 @@
 //!
 //! Exit status: `0` pass, `1` contract violation, `2` usage/I-O error.
 
-use bench::RunReporter;
+use bench::{time_unstolen, RunReporter};
 use fleetstate::{
     encode_fleet_state, recover_fleet, FaultTarget, FleetConfig, FleetRunner, PersistError,
     PersistentFleet, StorageFaultPlan, JOURNAL_FILE, SNAPSHOT_FILE,
@@ -134,6 +137,7 @@ fn error_class(e: &PersistError) -> &'static str {
         PersistError::MissingJournalHeader => "missing_journal_header",
         PersistError::ConfigMismatch { .. } => "config_mismatch",
         PersistError::SnapshotAheadOfJournal { .. } => "snapshot_ahead_of_journal",
+        PersistError::JournalPoisoned { .. } => "journal_poisoned",
         PersistError::Engine(_) => "engine_rejected",
     }
 }
@@ -540,11 +544,12 @@ fn main() -> ExitCode {
             std::fs::remove_dir_all(&work).ok();
             let mut fleet = PersistentFleet::create(&work, &config, PERF_THREADS, 0)
                 .expect("work dir was writable above");
-            let t = Instant::now();
-            for chunk in perf_rows.chunks(PERF_BLOCK) {
-                fleet.run_block(chunk, false).expect("perf rows are clean");
-            }
-            best = best.min(t.elapsed().as_secs_f64());
+            let ((), secs) = time_unstolen(|| {
+                for chunk in perf_rows.chunks(PERF_BLOCK) {
+                    fleet.run_block(chunk, false).expect("perf rows are clean");
+                }
+            });
+            best = best.min(secs);
         }
         let sps = total_stops / best;
         reporter.meta("journaled_stops_per_sec", format!("{sps:.0}"));

@@ -4,7 +4,8 @@
 //! paper as a text table on stdout plus a CSV under `target/figures/`
 //! (machine-readable series for external plotting). This library holds the
 //! pieces they share: CSV emission, the area-level stop-length mixture,
-//! and the worst-case CR formulas for the strategies the figures sweep.
+//! the worst-case CR formulas for the strategies the figures sweep, and
+//! the steal-scaled timer ([`time_unstolen`]) of the throughput gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -357,6 +358,30 @@ pub fn worker_threads() -> usize {
         .unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         })
+}
+
+/// CPU time the hypervisor gave to other guests while this one's CPUs
+/// wanted to run (`steal` in `/proc/stat`), in clock ticks of 1/100 s
+/// summed over CPUs; 0 where the kernel does not report it.
+fn steal_ticks() -> u64 {
+    fs::read_to_string("/proc/stat")
+        .ok()
+        .and_then(|s| s.lines().next()?.split_whitespace().nth(8)?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Times `f` and scales its wall time by one minus the share of the
+/// machine's CPU time the host stole meanwhile (capped at 0.9), so a
+/// throughput rep that a noisy neighbour preempted is not read as a
+/// slow engine. `perf_gate` and `recovery_drill` time their reps with
+/// it.
+pub fn time_unstolen<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let (start, ticks) = (Instant::now(), steal_ticks());
+    let out = f();
+    let wall = start.elapsed().as_secs_f64();
+    let stolen = steal_ticks().saturating_sub(ticks) as f64 / 100.0;
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from) as f64;
+    (out, wall * (1.0 - (stolen / (cpus * wall.max(1e-9))).min(0.9)))
 }
 
 /// Formats a CR for table output (`inf` for unbounded). Delegates to

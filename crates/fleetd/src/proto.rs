@@ -15,7 +15,7 @@
 //! never a panic, never an unbounded allocation (the payload length is
 //! capped at [`WIRE`]'s `max_payload` *before* any buffer is sized).
 
-use fleetstate::format::{put_f64, put_string, put_u32, put_u64, Reader, WIRE};
+use fleetstate::format::{put_f64, put_f64s, put_string, put_u32, put_u64, Reader, WIRE};
 pub use fleetstate::format::{FrameError as WireError, HEADER_LEN, TRAILER_LEN};
 use fleetstate::state::{decode_config, encode_config};
 use fleetstate::FleetConfig;
@@ -242,11 +242,7 @@ impl Request {
                 }
                 let mut rows = Vec::with_capacity(steps);
                 for _ in 0..steps {
-                    let mut row = Vec::with_capacity(lanes);
-                    for _ in 0..lanes {
-                        row.push(r.f64()?);
-                    }
-                    rows.push(row);
+                    rows.push(r.f64s(lanes)?);
                 }
                 Self::Submit { first_step, rows }
             }
@@ -291,12 +287,8 @@ impl Reply {
                 put_u32(out, *steps);
                 put_u32(out, *lanes);
                 out.reserve(thresholds.len() * 9 + TRAILER_LEN);
-                for &x in thresholds {
-                    put_f64(out, x);
-                }
-                for &v in vertices {
-                    out.push(v as u8);
-                }
+                put_f64s(out, thresholds);
+                out.extend(vertices.iter().map(|&v| v as u8));
             }
             Self::Busy { queued, capacity } => {
                 put_u32(out, *queued);
@@ -350,17 +342,22 @@ impl Reply {
                 if cells.checked_mul(9).ok_or(r.err("decision count overflow"))? != r.remaining() {
                     return Err(r.err("decision count does not match payload length"));
                 }
-                let mut thresholds = Vec::with_capacity(cells);
-                for _ in 0..cells {
-                    thresholds.push(r.f64()?);
+                let thresholds = r.f64s(cells)?;
+                let codes = r.take(cells)?;
+                if let Some(bad) = codes.iter().position(|&c| VertexKind::from_u8(c).is_none()) {
+                    // The offset just past the bad byte, as a byte-wise
+                    // read names it.
+                    let offset = (payload.len() - cells + bad + 1) as u64;
+                    return Err(WireError::BadPayload {
+                        offset,
+                        what: "unknown vertex discriminant",
+                    });
                 }
-                let mut vertices = Vec::with_capacity(cells);
-                for _ in 0..cells {
-                    let code = r.u8()?;
-                    vertices.push(
-                        VertexKind::from_u8(code).ok_or(r.err("unknown vertex discriminant"))?,
-                    );
-                }
+                // Every code is valid, so the fallback is never taken.
+                let vertices = codes
+                    .iter()
+                    .map(|&c| VertexKind::from_u8(c).unwrap_or(VertexKind::ColdStart))
+                    .collect();
                 Self::Decisions { first_step, steps, lanes, thresholds, vertices }
             }
             KIND_BUSY => Self::Busy { queued: r.u32()?, capacity: r.u32()? },
@@ -419,9 +416,7 @@ fn put_submit(out: &mut Vec<u8>, first_step: u64, rows: &[Vec<f64>]) {
     put_u32(out, rows.len() as u32);
     put_u32(out, lanes as u32);
     for row in rows {
-        for &y in row {
-            put_f64(out, y);
-        }
+        put_f64s(out, row);
     }
 }
 

@@ -822,12 +822,14 @@ fn engine_loop(
                             let totals = fleet.runner().totals();
                             shared.online_bits.store(totals.0.to_bits(), Ordering::Relaxed);
                             shared.offline_bits.store(totals.1.to_bits(), Ordering::Relaxed);
+                            let (steps, lanes) = (decisions.steps(), decisions.lanes());
+                            let (thresholds, vertices) = decisions.into_parts();
                             Reply::Decisions {
                                 first_step: step,
-                                steps: decisions.steps() as u32,
-                                lanes: decisions.lanes() as u32,
-                                thresholds: decisions.thresholds().to_vec(),
-                                vertices: decisions.vertices().to_vec(),
+                                steps: steps as u32,
+                                lanes: lanes as u32,
+                                thresholds,
+                                vertices,
                             }
                         }
                         Err(e) => {

@@ -106,6 +106,13 @@ pub enum PersistError {
         /// Steps the journal actually records.
         journal_steps: u64,
     },
+    /// An earlier append to this journal failed, so the file's tail is
+    /// unknown; nothing more is written until the directory is
+    /// recovered.
+    JournalPoisoned {
+        /// The journal file.
+        path: String,
+    },
     /// The decision engine rejected restored or replayed state.
     Engine(skirental::Error),
 }
@@ -156,6 +163,11 @@ impl fmt::Display for PersistError {
                 "snapshot at step {snapshot_step} is ahead of the journal \
                  ({journal_steps} steps recorded): journal history was lost"
             ),
+            Self::JournalPoisoned { path } => write!(
+                f,
+                "journal {path} is poisoned by an earlier failed append; recover the \
+                 directory before writing again"
+            ),
             Self::Engine(e) => write!(f, "decision engine rejected persisted state: {e}"),
         }
     }
@@ -200,6 +212,7 @@ mod tests {
             PersistError::MissingJournalHeader,
             PersistError::ConfigMismatch { what: "lanes" },
             PersistError::SnapshotAheadOfJournal { snapshot_step: 32, journal_steps: 20 },
+            PersistError::JournalPoisoned { path: "x".into() },
             PersistError::Engine(skirental::Error::EmptyTrace),
         ];
         for e in errs {

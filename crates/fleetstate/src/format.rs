@@ -299,6 +299,16 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
+/// Appends each of `vs` as [`put_f64`] would, in one pass: one resize,
+/// then one 8-byte store per value.
+pub fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+    let start = out.len();
+    out.resize(start + vs.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
 /// Appends a `u32`-length-prefixed UTF-8 string, cut to at most
 /// [`MAX_STRING`] bytes at a character boundary so it always decodes.
 pub fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -363,6 +373,21 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn f64(&mut self) -> Result<f64, FrameError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// The next `n` `f64`s ([`put_f64s`]), with one bounds check for
+    /// all of them.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, FrameError> {
+        let len = n.checked_mul(8).ok_or(self.err("payload ends early"))?;
+        let bytes = self.take(len)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| {
+                let mut raw = [0u8; 8];
+                raw.copy_from_slice(b);
+                f64::from_bits(u64::from_le_bytes(raw))
+            })
+            .collect())
     }
 
     /// The next [`put_string`] field, at most [`MAX_STRING`] bytes.
@@ -658,6 +683,27 @@ pub(crate) mod tests {
         assert!(scan.frames.is_empty());
         assert!(scan.torn_tail.is_none());
         assert_eq!(scan.clean_len, 0);
+    }
+
+    /// The slice codecs write and read the bytes of the per-value ones,
+    /// and a short payload fails before anything is allocated from `n`.
+    #[test]
+    fn f64_slices_match_per_value_codec() {
+        let vs = [0.0, -0.0, 1.5, f64::INFINITY, f64::NAN, f64::MIN_POSITIVE, 28.0];
+        let mut one = vec![7u8];
+        vs.iter().for_each(|&v| put_f64(&mut one, v));
+        let mut many = vec![7u8];
+        put_f64s(&mut many, &vs);
+        assert_eq!(one, many);
+        let mut r = Reader::new(&many[1..]);
+        let back = r.f64s(vs.len()).unwrap();
+        assert_eq!(back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), vs.map(f64::to_bits));
+        r.finish().unwrap();
+        let mut r = Reader::new(&many[1..]);
+        r.u8().unwrap();
+        assert_eq!(r.f64s(vs.len()).unwrap_err(), r.err("payload ends early"));
+        let overflow = Reader::new(&many).f64s(usize::MAX).unwrap_err();
+        assert_eq!(overflow, FrameError::BadPayload { offset: 0, what: "payload ends early" });
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use crate::error::{io_err, PersistError};
 use crate::format::{
-    decode_frame_at, put_f64, put_u64, scan_frames, scan_region, Frame, FrameError, FrameKind,
+    decode_frame_at, put_f64s, put_u64, scan_frames, scan_region, Frame, FrameError, FrameKind,
     Reader, HEADER_LEN, STORE, TRAILER_LEN,
 };
 use crate::snapshot::Checkpoint;
@@ -80,6 +80,10 @@ pub struct Journal {
     /// Bytes in the journal file (clean prefix on reopen, everything
     /// this handle appended since).
     bytes_written: u64,
+    /// Set by a failed write or flush: the file may then end in a torn
+    /// fragment and the page cache may have lost data, so nothing more
+    /// is written through this handle.
+    poisoned: bool,
 }
 
 impl Journal {
@@ -107,6 +111,7 @@ impl Journal {
             next_step: 0,
             frames_written: 1,
             bytes_written: frame.len() as u64,
+            poisoned: false,
         })
     }
 
@@ -132,6 +137,7 @@ impl Journal {
             next_step: steps_recorded,
             frames_written: frames_on_disk,
             bytes_written,
+            poisoned: false,
         })
     }
 
@@ -146,8 +152,11 @@ impl Journal {
     /// not match the fleet, [`PersistError::Engine`] on a negative or
     /// non-finite stop (the engine would reject it, so a journaled one
     /// could never be replayed), or [`PersistError::Io`] on write
-    /// failure. Nothing is written on a validation failure.
+    /// failure. Nothing is written on a validation failure. An `Io`
+    /// failure poisons the journal: every later append returns
+    /// [`PersistError::JournalPoisoned`] and writes nothing.
     pub fn append_step(&mut self, step: u64, row: &[f64]) -> Result<(), PersistError> {
+        self.check_writable()?;
         self.check_next(step)?;
         check_row(row, self.config.lanes)?;
         let mut buf = Vec::with_capacity(HEADER_LEN + 8 + row.len() * 8 + TRAILER_LEN);
@@ -182,6 +191,7 @@ impl Journal {
         first_step: u64,
         rows: &[Vec<f64>],
     ) -> Result<AppendTiming, PersistError> {
+        self.check_writable()?;
         self.check_next(first_step)?;
         check_rows(rows, self.config.lanes)?;
         if rows.is_empty() {
@@ -203,12 +213,30 @@ impl Journal {
         Err(PersistError::NonContiguousStep { offset: 0, expected: self.next_step, found: step })
     }
 
+    /// Refuses every write once an append has failed.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::JournalPoisoned`] if an earlier append failed.
+    pub(crate) fn check_writable(&self) -> Result<(), PersistError> {
+        if self.poisoned {
+            return Err(PersistError::JournalPoisoned { path: self.path.display().to_string() });
+        }
+        Ok(())
+    }
+
     /// Writes `buf` (`steps` whole observation frames) and flushes it.
+    /// Either failure poisons the journal: a failed write may leave a
+    /// torn fragment that a later frame would land behind, and after a
+    /// failed `sync_data` a retry can report success for lost data.
     fn commit(&mut self, buf: &[u8], steps: u64) -> Result<AppendTiming, PersistError> {
         let write_start = Instant::now();
-        self.file.write_all(buf).map_err(|e| io_err(&self.path, &e))?;
+        let written = self.file.write_all(buf);
         let sync_start = Instant::now();
-        self.file.sync_data().map_err(|e| io_err(&self.path, &e))?;
+        if let Err(e) = written.and_then(|()| self.file.sync_data()) {
+            self.poisoned = true;
+            return Err(io_err(&self.path, &e));
+        }
         let sync_s = sync_start.elapsed().as_secs_f64();
         let write_s = (sync_start - write_start).as_secs_f64();
         self.next_step += steps;
@@ -266,19 +294,14 @@ pub struct JournalContents {
 fn put_observations(out: &mut Vec<u8>, step: u64, row: &[f64]) {
     STORE.append(out, FrameKind::Observations as u8, |out| {
         put_u64(out, step);
-        for &y in row {
-            put_f64(out, y);
-        }
+        put_f64s(out, row);
     });
 }
 
 fn decode_observations(payload: &[u8], lanes: usize) -> Result<(u64, Vec<f64>), FrameError> {
     let mut r = Reader::new(payload);
     let step = r.u64()?;
-    let mut row = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
-        row.push(r.f64()?);
-    }
+    let row = r.f64s(lanes)?;
     r.finish()?;
     Ok((step, row))
 }
@@ -427,6 +450,27 @@ mod tests {
         let dir = std::env::temp_dir().join("fleetstate-journal-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}", std::process::id()))
+    }
+
+    /// A journal whose device refuses every write (`/dev/full` fails
+    /// with `ENOSPC`): the first append fails with `Io`, and every
+    /// append after it with the poison error, before any byte is
+    /// written or any counter moves.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_poisons_the_journal() {
+        let mut journal = Journal::reopen(Path::new("/dev/full"), &cfg(), 5, 6).unwrap();
+        let before = (journal.steps_recorded(), journal.bytes_written(), journal.frames_written());
+        let row = vec![1.0, 2.0, 3.0];
+        assert!(matches!(journal.append_step(5, &row), Err(PersistError::Io { .. })));
+        let poisoned = Err(PersistError::JournalPoisoned { path: "/dev/full".into() });
+        assert_eq!(journal.check_writable(), poisoned);
+        assert_eq!(journal.append_step(5, &row), poisoned);
+        assert_eq!(journal.append_block(5, &[row.clone(), row]), poisoned);
+        // Even a block that validation would refuse sees the poison.
+        assert_eq!(journal.append_block(9, &[vec![-1.0]]), poisoned);
+        let after = (journal.steps_recorded(), journal.bytes_written(), journal.frames_written());
+        assert_eq!(after, before);
     }
 
     #[test]

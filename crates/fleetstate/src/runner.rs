@@ -103,6 +103,12 @@ impl BlockDecisions {
     pub fn vertices(&self) -> &[VertexKind] {
         &self.vertices
     }
+
+    /// The thresholds and vertices, lane-major, moved out without a copy.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<f64>, Vec<VertexKind>) {
+        (self.thresholds, self.vertices)
+    }
 }
 
 /// A resumable batched fleet: every piece of state that decisions depend
@@ -546,8 +552,9 @@ impl PersistentFleet {
     ///
     /// The [`FleetRunner::run_block`] validation errors
     /// ([`PersistError::BadPayload`], [`PersistError::Engine`]) with
-    /// nothing written, or journal append errors ([`PersistError::Io`]
-    /// among them).
+    /// nothing written, or journal append errors: [`PersistError::Io`]
+    /// when a write or flush fails, and [`PersistError::JournalPoisoned`]
+    /// (nothing written) for every block after that.
     pub fn run_block(&mut self, rows: &[Vec<f64>], emit: bool) -> Result<(), PersistError> {
         self.run_block_decided(rows, emit).map(|_| ())
     }
@@ -617,8 +624,11 @@ impl PersistentFleet {
     /// # Errors
     ///
     /// [`PersistError::Io`] on filesystem failure, also counted in
-    /// `persist.snapshot_failures`.
+    /// `persist.snapshot_failures`, or [`PersistError::JournalPoisoned`]
+    /// (nothing written) once a journal append has failed: the
+    /// checkpoint would name a journal offset that may not hold.
     pub fn snapshot(&mut self) -> Result<(), PersistError> {
+        self.journal.check_writable()?;
         let state = self.runner.export_state();
         let checkpoint = Checkpoint {
             step: state.step,
@@ -888,6 +898,37 @@ mod tests {
         let (_, timing) = fleet.run_block_decided_timed(&block[7..], false).unwrap();
         assert_eq!((timing.snapshotted, timing.snapshot_error), (true, None));
         assert_eq!(fleet.last_snapshot_step(), 12);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Once the journal fails an append, the fleet neither decides nor
+    /// snapshots again: both return the poison error, write nothing and
+    /// leave the runner where the failure found it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_poisoned_journal_stops_blocks_and_snapshots() {
+        let dir = std::env::temp_dir()
+            .join("fleetstate-runner-tests")
+            .join(format!("poisoned-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = cfg(3, Some(4));
+        let block = rows(3, 6, 5);
+        let mut fleet = PersistentFleet::create(&dir, &config, 1, 2).unwrap();
+        fleet.run_block(&block[..2], false).unwrap();
+        let snapshot_len = || std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
+        let snapshots = snapshot_len();
+        let (step, frames) = (fleet.runner().step(), fleet.journal().frames_written());
+        fleet.journal = Journal::reopen(Path::new("/dev/full"), &config, step, frames).unwrap();
+        let state = crate::encode_fleet_state(&fleet.runner().export_state());
+
+        assert!(matches!(fleet.run_block(&block[2..4], false), Err(PersistError::Io { .. })));
+        let poisoned = |r| matches!(r, Err(PersistError::JournalPoisoned { .. }));
+        assert!(poisoned(fleet.run_block(&block[2..4], false)));
+        assert!(poisoned(fleet.snapshot()));
+        assert_eq!(fleet.runner().step(), step);
+        assert_eq!(crate::encode_fleet_state(&fleet.runner().export_state()), state);
+        assert_eq!(snapshot_len(), snapshots);
+        assert_eq!(fleet.last_snapshot_step(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,7 +12,7 @@
 //! resumed run to match an uninterrupted one.
 
 use crate::error::PersistError;
-use crate::format::{put_f64, put_u32, put_u64, FrameError, Reader};
+use crate::format::{put_f64, put_f64s, put_u32, put_u64, FrameError, Reader};
 use skirental::batch::LaneState;
 use skirental::degraded::LadderState;
 use skirental::estimator::{ControllerState, EstimatorState};
@@ -161,9 +161,7 @@ pub fn encode_fleet_state(state: &FleetState) -> Vec<u8> {
         put_f64(&mut out, lane.online);
         put_f64(&mut out, lane.offline);
         debug_assert_eq!(lane.lane.ring.len(), w);
-        for &y in &lane.lane.ring {
-            put_f64(&mut out, y);
-        }
+        put_f64s(&mut out, &lane.lane.ring);
     }
     out
 }
@@ -200,10 +198,7 @@ fn read_fleet_state(mut r: Reader<'_>) -> Result<FleetState, FrameError> {
         let rng_ctr = r.u64()?;
         let online = r.f64()?;
         let offline = r.f64()?;
-        let mut ring = Vec::with_capacity(w);
-        for _ in 0..w {
-            ring.push(r.f64()?);
-        }
+        let ring = r.f64s(w)?;
         lanes.push(LaneSnapshot {
             lane: LaneState { count, short_sum, sum_sq, long_count, head, ring },
             rng_key,
@@ -241,9 +236,7 @@ pub fn encode_ladder_state(state: &LadderState) -> Vec<u8> {
     put_f64(&mut out, est.short_sum);
     put_u64(&mut out, est.long_count as u64);
     put_u32(&mut out, est.buffer.len() as u32);
-    for &y in &est.buffer {
-        put_f64(&mut out, y);
-    }
+    put_f64s(&mut out, &est.buffer);
     // Ladder position + hysteresis counters.
     out.push(trust_to_u8(state.level));
     put_u32(&mut out, state.recent.len() as u32);
@@ -289,10 +282,7 @@ fn read_ladder_state(mut r: Reader<'_>) -> Result<LadderState, FrameError> {
     if buf_len.saturating_mul(8) > r.remaining() {
         return Err(r.err("estimator buffer length exceeds the payload"));
     }
-    let mut buffer = Vec::with_capacity(buf_len);
-    for _ in 0..buf_len {
-        buffer.push(r.f64()?);
-    }
+    let buffer = r.f64s(buf_len)?;
     let level = match r.u8()? {
         0 => TrustLevel::Full,
         1 => TrustLevel::Degraded,
