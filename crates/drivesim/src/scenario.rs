@@ -152,32 +152,10 @@ mod tests {
         for s in Scenario::ALL {
             let d = s.stop_distribution();
             // B = 47 s (conventional vehicle being given a driving tip).
-            let stats = skirental_stats(&d, 47.0);
-            choices.insert(stats);
+            let b = 47.0;
+            let costs = numeric::vertex::costs(d.partial_mean(b), d.tail_prob(b), b);
+            choices.insert(costs.argmin().0.name());
         }
         assert!(choices.len() >= 2, "all scenarios got the same advice: {choices:?}");
-    }
-
-    fn skirental_stats(d: &Mixture, b: f64) -> &'static str {
-        // Avoid a dev-dependency cycle: reimplement the vertex argmin on
-        // the (μ_B⁻, q_B⁺) computed from the distribution.
-        let mu = d.partial_mean(b);
-        let q = d.tail_prob(b);
-        let offline = mu + q * b;
-        let e = std::f64::consts::E;
-        let mut best = ("DET", mu + 2.0 * q * b);
-        if b < best.1 {
-            best = ("TOI", b);
-        }
-        if q > 0.0 && mu > 0.0 && (mu * b / q).sqrt() <= b && mu / b < (1.0 - q).powi(2) / q {
-            let c = (mu.sqrt() + (q * b).sqrt()).powi(2);
-            if c < best.1 {
-                best = ("b-DET", c);
-            }
-        }
-        if e / (e - 1.0) * offline < best.1 {
-            best = ("N-Rand", e / (e - 1.0) * offline);
-        }
-        best.0
     }
 }

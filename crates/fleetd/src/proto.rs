@@ -233,6 +233,10 @@ impl Request {
                 let first_step = r.u64()?;
                 let steps = r.u32()? as usize;
                 let lanes = r.u32()? as usize;
+                // Zero-width rows would pass the length check at any `steps`.
+                if lanes == 0 && steps > 0 {
+                    return Err(r.err("block has steps but no lanes"));
+                }
                 let cells = steps
                     .checked_mul(lanes)
                     .and_then(|c| c.checked_mul(8))

@@ -29,6 +29,9 @@ fn request_of(
     match kind % 9 {
         0 => Request::Hello { name },
         1 => {
+            // Rows without lanes are refused on decode; zero lanes means
+            // the empty block.
+            let steps = if lanes == 0 { 0 } else { steps };
             let rows = (0..steps)
                 .map(|t| (0..lanes).map(|l| cells[(t * lanes + l) % cells.len().max(1)]).collect())
                 .collect();

@@ -18,6 +18,8 @@
 //!   quantiles, min/max) used throughout the fleet experiments.
 //! * [`crc32`] — CRC-32 (IEEE) checksums shared by the crash-safe state
 //!   snapshots and the drive-trace CSV integrity footer.
+//! * [`vertex`] — the paper's four-vertex minimax decision rule
+//!   (eqs. (33)–(36)), shared by the solver, batch kernel and monitor.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@ pub mod rootfind;
 pub mod simplex;
 pub mod special;
 pub mod stats;
+pub mod vertex;
 
 /// Machine-level tolerance used as a default for "are these costs equal"
 /// comparisons throughout the workspace.

@@ -1,8 +1,9 @@
-//! Std-only, zero-dependency observability for the idling-reduction stack.
+//! Std-only observability for the idling-reduction stack.
 //!
 //! Every other crate in the workspace may depend on this one, so it pulls
-//! in nothing: counters, gauges, and histograms are plain atomics, span
-//! timers are `std::time::Instant` pairs, and the machine-readable
+//! in only the dependency-free `numeric` (for [`numeric::vertex`]):
+//! counters, gauges, and histograms are plain atomics, span timers are
+//! `std::time::Instant` pairs, and the machine-readable
 //! [`RunReport`] is emitted and parsed by a built-in minimal JSON module
 //! (the workspace has no `serde`, so it hand-rolls the few dozen lines).
 //!

@@ -11,7 +11,7 @@
 //! * two-sided **Page-Hinkley change-point detectors** on the estimator's
 //!   `μ̂_B⁻` and `q̂_B⁺` streams ([`PageHinkley`]);
 //! * a **vertex-mismatch detector** that recomputes the four-vertex
-//!   argmin from the windowed *true* stop lengths ([`vertex_argmin`]) and
+//!   argmin from the windowed *true* stop lengths ([`numeric::vertex`]) and
 //!   flags sustained disagreement with the vertex the controller actually
 //!   played — the played vertex comes from possibly-poisoned sensor
 //!   *readings*, the recomputation from realized stops, so divergence is
@@ -39,6 +39,7 @@
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::risk::realized_cr;
+use numeric::vertex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
@@ -249,46 +250,6 @@ impl PageHinkley {
     }
 }
 
-/// Worst-case expected costs of the four vertex strategies and the argmin
-/// vertex name, recomputed from `(μ_B⁻, q_B⁺, B)` alone.
-///
-/// Mirrors `skirental::ConstrainedStats::optimal_choice` exactly — same
-/// vertex formulas (eqs. (33)–(36) of the paper), same b-DET feasibility
-/// gate, same DET → TOI → b-DET → N-Rand tie order — without depending on
-/// that crate (a cross-crate test pins the agreement). Returns the vertex
-/// name as it appears in `stop_decision` events plus its cost.
-#[must_use]
-pub fn vertex_argmin(mu: f64, q: f64, b: f64) -> (&'static str, f64) {
-    let e = std::f64::consts::E;
-    let offline = mu + q * b;
-    let det = mu + 2.0 * q * b;
-    let toi = b;
-    let n_rand = e / (e - 1.0) * offline;
-    let b_det = if mu > 0.0 && q > 0.0 && q < 1.0 && mu / b < (1.0 - q) * (1.0 - q) / q {
-        let b_star = (mu * b / q).sqrt();
-        if b_star <= b {
-            Some((mu.sqrt() + (q * b).sqrt()).powi(2))
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-    let mut best = ("DET", det);
-    if toi < best.1 {
-        best = ("TOI", toi);
-    }
-    if let Some(cost) = b_det {
-        if cost < best.1 {
-            best = ("b-DET", cost);
-        }
-    }
-    if n_rand < best.1 {
-        best = ("N-Rand", n_rand);
-    }
-    best
-}
-
 /// One alarm, as aggregated into the [`MonitorReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlarmRecord {
@@ -487,9 +448,8 @@ impl StreamState {
                 short_sum += y;
             }
         }
-        let q = long as f64 / n;
-        let mu = (short_sum / n).clamp(0.0, (1.0 - q) * b);
-        Some(vertex_argmin(mu, q, b).0)
+        let (mu, q) = vertex::plug_in(n, short_sum, long as f64, b);
+        Some(vertex::costs(mu, q, b).argmin().0.name())
     }
 
     fn raise(&mut self, stop: u64, alarm: &str, detail: String, observed: f64, limit: f64) {
@@ -927,20 +887,6 @@ mod tests {
         assert!(!ph.observe(f64::NAN));
         assert!(!ph.observe(f64::INFINITY));
         assert!(ph.is_empty());
-    }
-
-    #[test]
-    fn vertex_argmin_known_regions() {
-        let b = 28.0;
-        // All stops short and tiny: DET ≈ μ is cheapest.
-        assert_eq!(vertex_argmin(1.0, 0.0, b).0, "DET");
-        // All stops long: TOI (cost B) vs DET (2B) vs N-Rand (e/(e−1)·B).
-        assert_eq!(vertex_argmin(0.0, 1.0, b).0, "TOI");
-        // Mid region where the interior b-DET vertex wins: μ ≪ q·B makes
-        // b-DET = μ + q·B + 2√(μ·q·B) beat N-Rand = e/(e−1)·(μ + q·B).
-        let (name, cost) = vertex_argmin(1.0, 0.5, b);
-        assert_eq!(name, "b-DET");
-        assert!((cost - (1.0f64.sqrt() + (0.5f64 * b).sqrt()).powi(2)).abs() < 1e-12);
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //!   ring buffer in sliding-window mode), so the decision loop streams
 //!   over contiguous memory with no pointer chasing;
 //! * [`BatchStore::decide_batch`] computes one threshold per lane in a
-//!   flat, allocation-free inner loop: the four vertex costs are
-//!   evaluated as straight-line lane arithmetic (the infeasible b-DET
-//!   lane is masked with `+∞` rather than branched around) and the
-//!   argmin preserves the scalar tie order DET → TOI → b-DET → N-Rand;
+//!   flat, allocation-free inner loop through the shared
+//!   [`numeric::vertex`] rule (the infeasible b-DET vertex is masked
+//!   with `+∞` rather than branched around);
 //! * [`CounterRng`] is a counter-based per-vehicle generator (SplitMix64
 //!   finalizer over `key + ctr·γ`): the kernel computes the next draw as
 //!   a pure function of the lane's `(key, ctr)` state and advances the
@@ -38,10 +37,10 @@
 //! [`crate::parallel::plan_workers`] and run it through
 //! [`crate::parallel::fan_out`].
 //!
-//! **Bit-identity.** Every floating-point expression in the kernel is
-//! copied verbatim from the scalar path (`MomentEstimator::stats`,
-//! `ConstrainedStats::vertex_costs`/`b_det_vertex`/`optimal_choice`,
-//! `NRand::sample_threshold`, `stopmodel::uniform01`), so a batch run
+//! **Bit-identity.** The kernel calls the same [`numeric::vertex`]
+//! functions as the scalar path (`MomentEstimator::stats`,
+//! `ConstrainedStats::optimal_choice`, `NRand::sample_threshold`) and
+//! copies `stopmodel::uniform01`'s draw verbatim, so a batch run
 //! produces bit-for-bit the thresholds, vertex choices, and cost sums of
 //! the equivalent per-vehicle [`run_fleet_scalar`] reference — pinned by
 //! `tests/batch.rs` across cold start, windowed, min-history, and
@@ -59,9 +58,9 @@
 use crate::cost::BreakEven;
 use crate::estimator::{realized_cr, AdaptiveController, AdaptiveOutcome};
 use crate::obs;
-use crate::{e_ratio, Error};
+use crate::Error;
+use numeric::vertex::{self, Vertex};
 use rand::RngCore;
-use std::f64::consts::E;
 
 /// Weyl increment of SplitMix64 (the golden ratio in 2⁻⁶⁴ fixed point).
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -244,15 +243,12 @@ struct LaneDecision {
 
 /// The per-lane decision kernel. `#[inline(always)]` so the flat loop in
 /// [`BatchStore::decide_batch`] sees straight-line lane arithmetic with
-/// no call — the b-DET feasibility conditions reduce to an `+∞` cost
-/// mask and the argmin to a chain of compare-selects.
+/// no call.
 ///
-/// Every expression mirrors the scalar path bit for bit:
-/// `MomentEstimator::stats` (the `μ̂` clamp), `vertex_costs`,
-/// `b_det_vertex` (condition (36), `b* ≤ B`), `optimal_choice` (tie
-/// order DET → TOI → b-DET → N-Rand with strict `<`), and the policy
-/// samplers (`Det → B`, `Toi → 0`, `BDet → b*`, `N-Rand` inverse CDF on
-/// one 53-bit uniform draw).
+/// The plug-in moments, vertex costs and argmin are [`numeric::vertex`],
+/// the same functions the scalar path calls, and the samplers match the
+/// policies (`Det → B`, `Toi → 0`, `BDet → b*`, N-Rand's inverse CDF on
+/// one 53-bit uniform draw), so every threshold is bit-identical to it.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn decide_kernel(
@@ -270,61 +266,25 @@ fn decide_kernel(
     let nrand_x = || {
         // `stopmodel::uniform01`: top 53 bits of one u64 draw.
         let u = (CounterRng::value_at(key, ctr) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        // `NRand::sample_threshold`: x = B·ln(1 + u(e−1)).
-        b * (1.0 + u * (E - 1.0)).ln()
+        vertex::n_rand_threshold(b, u)
     };
 
     if (n as usize) < min_history {
         return LaneDecision { threshold: nrand_x(), vertex: VertexKind::ColdStart, ctr: ctr + 1 };
     }
 
-    // `MomentEstimator::stats`: plug-in moments with the window-residue
-    // clamp.
-    let nf = f64::from(n);
-    let q = f64::from(long_count) / nf;
-    let mu_cap = (1.0 - q) * b;
-    let mu = (short_sum / nf).clamp(0.0, mu_cap);
-
-    // `ConstrainedStats::vertex_costs`.
-    let offline = mu + q * b;
-    let n_rand_cost = e_ratio() * offline;
-    let toi_cost = b;
-    let det_cost = mu + 2.0 * q * b;
-
-    // `ConstrainedStats::b_det_vertex`, as an ∞-masked lane instead of
-    // an Option: infeasible regimes can never win the strict-< argmin.
-    let b_star = (mu * b / q).sqrt();
-    let b_det_feasible =
-        mu > 0.0 && q > 0.0 && q < 1.0 && mu / b < (1.0 - q) * (1.0 - q) / q && b_star <= b;
-    let b_det_cost =
-        if b_det_feasible { (mu.sqrt() + (q * b).sqrt()).powi(2) } else { f64::INFINITY };
-
-    // `ConstrainedStats::optimal_choice`: tie order DET → TOI → b-DET →
-    // N-Rand, strict `<` replacement.
-    let mut vertex = VertexKind::Det;
-    let mut best_cost = det_cost;
-    if toi_cost < best_cost {
-        vertex = VertexKind::Toi;
-        best_cost = toi_cost;
-    }
-    if b_det_cost < best_cost {
-        vertex = VertexKind::BDet;
-        best_cost = b_det_cost;
-    }
-    if n_rand_cost < best_cost {
-        vertex = VertexKind::NRand;
-    }
-
-    // Sample: only N-Rand draws (`ProposedPolicy` delegates to the
-    // vertex policy, and Det/Toi/BDet ignore the RNG).
-    match vertex {
-        VertexKind::Det => LaneDecision { threshold: b, vertex, ctr },
-        VertexKind::Toi => LaneDecision { threshold: 0.0, vertex, ctr },
-        VertexKind::BDet => LaneDecision { threshold: b_star.min(b), vertex, ctr },
-        VertexKind::NRand | VertexKind::ColdStart => {
-            LaneDecision { threshold: nrand_x(), vertex, ctr: ctr + 1 }
-        }
-    }
+    let (mu, q) = vertex::plug_in(f64::from(n), short_sum, f64::from(long_count), b);
+    // Costs, then argmin: a fused call compiled to cmovs and a jump table here, and ran slower.
+    let costs = vertex::costs(mu, q, b);
+    // Only N-Rand draws (`ProposedPolicy` delegates to the vertex
+    // policy, and Det/Toi/BDet ignore the RNG).
+    let (threshold, vertex, ctr) = match costs.argmin().0 {
+        Vertex::Det => (b, VertexKind::Det, ctr),
+        Vertex::Toi => (0.0, VertexKind::Toi, ctr),
+        Vertex::BDet => (costs.b_star.min(b), VertexKind::BDet, ctr),
+        Vertex::NRand => (nrand_x(), VertexKind::NRand, ctr + 1),
+    };
+    LaneDecision { threshold, vertex, ctr }
 }
 
 /// A full copy of one lane's estimator state, as exported by
@@ -477,11 +437,8 @@ impl BatchStore {
         if n == 0 {
             return None;
         }
-        let nf = f64::from(n);
-        let q = f64::from(self.long_count[lane]) / nf;
-        let mu_cap = (1.0 - q) * self.break_even.seconds();
-        let mu = (self.short_sum[lane] / nf).clamp(0.0, mu_cap);
-        Some((mu, q))
+        let long = f64::from(self.long_count[lane]);
+        Some(vertex::plug_in(f64::from(n), self.short_sum[lane], long, self.break_even.seconds()))
     }
 
     /// Discards lane `i`'s observed history (window configuration kept),

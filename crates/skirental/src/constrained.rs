@@ -8,14 +8,8 @@
 //! (DET), and `b` (b-DET). The augmented-Lagrangian / LP reduction of
 //! Section 4 shows the optimum sits at a vertex of the `(α, β, γ)`
 //! polytope, i.e. the best online algorithm is simply the cheapest of four
-//! candidate strategies:
-//!
-//! | vertex | strategy | worst-case expected cost |
-//! |---|---|---|
-//! | `(0,0,0)` | N-Rand | `e/(e−1)·(μ_B⁻ + q_B⁺·B)` |
-//! | `(1,0,0)` | TOI    | `B` |
-//! | `(0,1,0)` | DET    | `μ_B⁻ + 2·q_B⁺·B` (eq. (14)) |
-//! | `(0,0,1)` | b-DET  | `(√μ_B⁻ + √(q_B⁺·B))²` at `b* = √(μ_B⁻·B/q_B⁺)` (eq. (35)), valid under eq. (36) |
+//! candidate strategies, DET, TOI, b-DET and N-Rand ([`numeric::vertex`]
+//! tabulates their costs and defines the rule).
 //!
 //! [`ConstrainedStats`] exposes the vertex costs, the selected strategy,
 //! the resulting worst-case CR (eq. (38) when b-DET wins), and an
@@ -27,6 +21,7 @@ use crate::policy::{BDet, Det, NRand, Policy, Toi};
 use crate::summary::StopSummary;
 use crate::{e_ratio, Error};
 use numeric::simplex::{LinearProgram, Relation};
+use numeric::vertex::{self, Vertex};
 use rand::RngCore;
 use stopmodel::{ConstrainedMoments, StopDistribution};
 
@@ -80,18 +75,6 @@ pub struct VertexCosts {
     /// The b-DET vertex, or `None` when eq. (36) fails or `b* > B` (in
     /// which regimes b-DET is dominated by DET/TOI).
     pub b_det: Option<BDetVertex>,
-}
-
-impl VertexCosts {
-    /// The smallest vertex cost.
-    #[must_use]
-    pub fn min_cost(&self) -> f64 {
-        let mut m = self.n_rand.min(self.toi).min(self.det);
-        if let Some(bd) = self.b_det {
-            m = m.min(bd.cost);
-        }
-        m
-    }
 }
 
 /// Fractional masses from solving the Section-4.4 LP with a general simplex
@@ -184,19 +167,16 @@ impl ConstrainedStats {
         self.moments.expected_offline_cost()
     }
 
+    /// The four vertex costs and `b*`, from [`numeric::vertex`].
+    fn costs(&self) -> vertex::Costs {
+        vertex::costs(self.moments.mu_b_minus, self.moments.q_b_plus, self.moments.break_even)
+    }
+
     /// Worst-case expected costs of the four vertex strategies.
     #[must_use]
     pub fn vertex_costs(&self) -> VertexCosts {
-        let b = self.moments.break_even;
-        let mu = self.moments.mu_b_minus;
-        let q = self.moments.q_b_plus;
-        let offline = self.expected_offline_cost();
-        VertexCosts {
-            n_rand: e_ratio() * offline,
-            toi: b,
-            det: mu + 2.0 * q * b,
-            b_det: self.b_det_vertex(),
-        }
+        let c = self.costs();
+        VertexCosts { n_rand: c.n_rand, toi: c.toi, det: c.det, b_det: self.b_det_vertex() }
     }
 
     /// The b-DET vertex `b* = √(μ_B⁻·B/q_B⁺)` with cost eq. (35), when
@@ -205,25 +185,8 @@ impl ConstrainedStats {
     /// Section 4.4).
     #[must_use]
     pub fn b_det_vertex(&self) -> Option<BDetVertex> {
-        let b = self.moments.break_even;
-        let mu = self.moments.mu_b_minus;
-        let q = self.moments.q_b_plus;
-        if mu <= 0.0 || q <= 0.0 || q >= 1.0 {
-            return None;
-        }
-        // Condition (36): μ/B < (1−q)²/q  ⟺  b* > μ/(1−q).
-        if mu / b >= (1.0 - q) * (1.0 - q) / q {
-            return None;
-        }
-        let b_star = (mu * b / q).sqrt();
-        if b_star > b {
-            // Unconstrained minimizer beyond B: on [0,B] the cost is
-            // decreasing there, so b-DET degenerates to DET and adds
-            // nothing.
-            return None;
-        }
-        let cost = (mu.sqrt() + (q * b).sqrt()).powi(2);
-        Some(BDetVertex { b: b_star, cost })
+        let c = self.costs();
+        c.b_det.is_finite().then_some(BDetVertex { b: c.b_star, cost: c.b_det })
     }
 
     /// Selects the vertex with the smallest worst-case expected cost.
@@ -232,30 +195,20 @@ impl ConstrainedStats {
     /// the simpler deterministic strategies).
     #[must_use]
     pub fn optimal_choice(&self) -> StrategyChoice {
-        let v = self.vertex_costs();
-        let mut best = StrategyChoice::Det;
-        let mut best_cost = v.det;
-        if v.toi < best_cost {
-            best = StrategyChoice::Toi;
-            best_cost = v.toi;
+        let c = self.costs();
+        match c.argmin().0 {
+            Vertex::Det => StrategyChoice::Det,
+            Vertex::Toi => StrategyChoice::Toi,
+            Vertex::BDet => StrategyChoice::BDet { b: c.b_star },
+            Vertex::NRand => StrategyChoice::NRand,
         }
-        if let Some(bd) = v.b_det {
-            if bd.cost < best_cost {
-                best = StrategyChoice::BDet { b: bd.b };
-                best_cost = bd.cost;
-            }
-        }
-        if v.n_rand < best_cost {
-            best = StrategyChoice::NRand;
-        }
-        best
     }
 
     /// The smallest worst-case expected online cost achievable with the
     /// given statistics.
     #[must_use]
     pub fn worst_case_cost(&self) -> f64 {
-        self.vertex_costs().min_cost()
+        self.costs().argmin().1
     }
 
     /// The minimax worst-case expected competitive ratio — the value
@@ -770,30 +723,6 @@ mod tests {
         let bd = v.b_det.expect("feasible here");
         assert!(approx_eq(bd.b, (5.0 * 28.0 / 0.3f64).sqrt(), 1e-12));
         assert!(approx_eq(bd.cost, (5.0f64.sqrt() + (0.3 * 28.0f64).sqrt()).powi(2), 1e-12));
-    }
-
-    #[test]
-    fn monitor_vertex_argmin_mirrors_optimal_choice() {
-        // The streaming monitor reimplements the four-vertex argmin
-        // (`obsv` cannot depend on this crate); pin the two to each other
-        // over a dense grid of the feasible (μ, q) region, including the
-        // boundaries where the b-DET vertex appears and disappears.
-        let b = 28.0;
-        for qi in 0..=40 {
-            let q = f64::from(qi) / 40.0;
-            for mi in 0..=40 {
-                let mu = (1.0 - q) * b * f64::from(mi) / 40.0;
-                let s = stats(b, mu, q);
-                let choice = s.optimal_choice();
-                let (name, cost) = obsv::monitor::vertex_argmin(mu, q, b);
-                assert_eq!(choice.name(), name, "diverged at mu={mu} q={q}");
-                assert!(
-                    approx_eq(cost, s.worst_case_cost(), 1e-9),
-                    "cost diverged at mu={mu} q={q}: {cost} vs {}",
-                    s.worst_case_cost()
-                );
-            }
-        }
     }
 
     #[test]

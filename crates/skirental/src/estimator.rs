@@ -18,6 +18,7 @@ use crate::obs;
 use crate::policy::{NRand, Policy};
 use crate::summary::StopSummary;
 use crate::Error;
+use numeric::vertex::plug_in;
 use rand::RngCore;
 use std::collections::VecDeque;
 
@@ -159,12 +160,8 @@ impl MomentEstimator {
         if self.buffer.is_empty() {
             return None;
         }
-        let n = self.buffer.len() as f64;
-        let q = self.long_count as f64 / n;
-        // Sliding-window subtraction leaves O(ε) residue in the running
-        // sum; clamp to the feasible region.
-        let mu_cap = (1.0 - q) * self.break_even.seconds();
-        let mu = (self.short_sum / n).clamp(0.0, mu_cap);
+        let b = self.break_even.seconds();
+        let (mu, q) = plug_in(self.buffer.len() as f64, self.short_sum, self.long_count as f64, b);
         Some(
             ConstrainedStats::new(self.break_even, mu, q)
                 .unwrap_or_else(|_| unreachable!("clamped plug-in estimates are feasible")),

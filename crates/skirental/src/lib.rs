@@ -95,18 +95,12 @@ pub use constrained::{ConstrainedStats, StrategyChoice, VertexCosts};
 pub use cost::BreakEven;
 pub use degraded::{DegradationConfig, DegradedController, DegradedOutcome, TrustLevel};
 pub use fleet_eval::{FleetReport, Strategy};
+pub use numeric::vertex::e_ratio;
 pub use policy::Policy;
 pub use stopmodel::ConstrainedMoments;
 pub use summary::StopSummary;
 
 use std::fmt;
-
-/// Euler's constant based factor `e/(e−1) ≈ 1.582`, the optimal competitive
-/// ratio of the unconstrained randomized ski-rental algorithm.
-#[must_use]
-pub fn e_ratio() -> f64 {
-    std::f64::consts::E / (std::f64::consts::E - 1.0)
-}
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq)]

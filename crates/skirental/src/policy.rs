@@ -461,9 +461,7 @@ impl Policy for NRand {
     }
 
     fn sample_threshold(&self, rng: &mut dyn RngCore) -> f64 {
-        // Inverse CDF: F(x) = (e^{x/B} − 1)/(e − 1)  ⇒  x = B·ln(1 + u(e−1)).
-        let u = stopmodel::uniform01(rng);
-        self.break_even.seconds() * (1.0 + u * (E - 1.0)).ln()
+        numeric::vertex::n_rand_threshold(self.break_even.seconds(), stopmodel::uniform01(rng))
     }
 
     fn threshold_cdf(&self, x: f64) -> f64 {

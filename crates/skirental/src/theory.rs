@@ -15,11 +15,11 @@
 //! | (7) | [`eq7_n_rand_pdf`] | [`crate::policy::NRand`] |
 //! | (9) | [`eq9_mom_rand_pdf`] | [`crate::policy::MomRand`] |
 //! | (13) | [`eq13_expected_offline_cost`] | [`ConstrainedMoments::expected_offline_cost`] |
-//! | (14) | [`eq14_expected_det_cost`] | [`crate::VertexCosts::det`] |
+//! | (14) | [`eq14_expected_det_cost`] | [`numeric::vertex::costs`] |
 //! | (31) | [`eq31_lagrange_multipliers`] | verified affine-cost identity |
 //! | (32) | [`eq32_k_coefficients`] | [`crate::ConstrainedStats::solve_lp`] |
 //! | (34) | [`eq34_b_det_worst_cost`] | [`crate::adversary::short_mass_adversary`] |
-//! | (35) | [`eq35_b_det_optimal_cost`] | [`crate::ConstrainedStats::b_det_vertex`] |
+//! | (35) | [`eq35_b_det_optimal_cost`] | [`numeric::vertex::costs`] |
 //! | (36) | [`eq36_b_det_condition`] | same |
 //! | (38) | [`eq38_b_det_worst_cr`] | [`crate::ConstrainedStats::worst_case_cr`] |
 //!
